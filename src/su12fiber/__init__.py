@@ -4,127 +4,31 @@ Submodules:
   exact          arithmetic kernels (Q(sqrt2), truncated series, 2x2 matrices)
   stability      numerical stability of vanishing-locus partitions, census
   configuration  point configurations on (P^1)^N and the torus action
-  git_engine     invariant-monomial classification, S-equivalence
+  git_engine     invariant-monomial classification, S-equivalence, charts
   local_model    Hecke kernels, Smith reduction, Higgs normal forms
   cli            command line front end
+
+The package namespace re-exports the names the README's Library section
+uses; everything else is imported from its submodule.
 """
 
-from .configuration import (
-    Configuration,
-    FiberPoint,
-    MarkData,
-    PointKind,
-    act,
-    affine_chart,
-    config_from_json,
-    config_to_json,
-    finite_parameters,
-    in_stable_locus,
-    limit_point,
-    mark_data,
-    orbit_equivalent,
-    saturate_limit,
-    stratum_of,
-)
-from .exact import DEFAULT_ORDER, Mat2, Scalar, SeriesPair, TruncatedSeries
-from .git_engine import (
-    BruteForceOutcome,
-    GitClass,
-    Linearization,
-    bruteforce_search,
-    classify_bruteforce,
-    classify_closed_form,
-    git_class_of_stability,
-    is_invariant,
-    monomial_nonvanishing,
-    s_equivalence_representative,
-)
-from .local_model import (
-    EvaluationCovector,
-    LocalHiggs,
-    contraction_report,
-    dual_wedge_contraction,
-    evaluate,
-    hecke_frame,
-    hecke_kernel,
-    higgs_from_kernel_frame,
-    higgs_vanishing_matches_point,
-    is_injective,
-    kernel_frame_from_higgs,
-    kernel_frame_matrix,
-    normal_form_check,
-    smith_form,
-    verification_suite,
-)
-from .stability import (
-    CensusResult,
-    CensusRow,
-    LabeledPartition,
-    ModuliParams,
-    StabilityClass,
-    census,
-    classify_counts,
-    classify_partition,
-    milnor_wood_admits_stable,
-    polystable_split_degrees,
-    stratum_dimension,
-)
+from .configuration import Configuration, FiberPoint
+from .exact import Scalar
+from .git_engine import Linearization, classify_bruteforce, classify_closed_form
+from .local_model import EvaluationCovector, hecke_frame, higgs_from_kernel_frame, smith_form
+from .stability import ModuliParams, census
 
 __all__ = [
-    "BruteForceOutcome",
-    "CensusResult",
-    "CensusRow",
     "Configuration",
-    "DEFAULT_ORDER",
     "EvaluationCovector",
     "FiberPoint",
-    "GitClass",
-    "LabeledPartition",
     "Linearization",
-    "LocalHiggs",
-    "MarkData",
-    "Mat2",
     "ModuliParams",
-    "PointKind",
     "Scalar",
-    "SeriesPair",
-    "StabilityClass",
-    "TruncatedSeries",
-    "act",
-    "affine_chart",
-    "bruteforce_search",
     "census",
     "classify_bruteforce",
     "classify_closed_form",
-    "classify_counts",
-    "classify_partition",
-    "config_from_json",
-    "config_to_json",
-    "contraction_report",
-    "dual_wedge_contraction",
-    "evaluate",
-    "finite_parameters",
-    "git_class_of_stability",
     "hecke_frame",
-    "hecke_kernel",
     "higgs_from_kernel_frame",
-    "higgs_vanishing_matches_point",
-    "in_stable_locus",
-    "is_injective",
-    "is_invariant",
-    "kernel_frame_from_higgs",
-    "kernel_frame_matrix",
-    "limit_point",
-    "mark_data",
-    "milnor_wood_admits_stable",
-    "monomial_nonvanishing",
-    "normal_form_check",
-    "orbit_equivalent",
-    "polystable_split_degrees",
-    "s_equivalence_representative",
-    "saturate_limit",
     "smith_form",
-    "stratum_dimension",
-    "stratum_of",
-    "verification_suite",
 ]

@@ -23,14 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import (
-    InvalidScaleError,
-    LengthMismatchError,
-    NoChartError,
-    NotOnBoundaryError,
-)
+from .errors import InvalidScaleError, LengthMismatchError, NotOnBoundaryError
 from .exact import Scalar
-from .stability import Label, LabeledPartition, ModuliParams
+from .stability import Label, LabeledPartition
 
 
 class PointKind(Enum):
@@ -125,20 +120,6 @@ def mark_data(c: Configuration) -> MarkData:
     return MarkData(zeros, infs)
 
 
-def _check_length(c: Configuration, p: ModuliParams) -> None:
-    if c.size != p.N:
-        raise LengthMismatchError(
-            f"configuration has {c.size} slots, expected N = {p.N}"
-        )
-
-
-def in_stable_locus(c: Configuration, p: ModuliParams) -> bool:
-    """Both mark counts strictly below their budgets: n_zero < n, n_inf < N - n."""
-    _check_length(c, p)
-    marks = mark_data(c)
-    return marks.n_zero < p.n and marks.n_inf < p.N - p.n
-
-
 def stratum_of(c: Configuration) -> LabeledPartition:
     """Labeled partition recording, slot by slot, which component vanishes."""
     labels = []
@@ -209,50 +190,6 @@ def saturate_limit(c: Configuration, n: int, N: int) -> Configuration:
     raise NotOnBoundaryError(
         "fixed-point limits exist only when a mark count saturates its bound"
     )
-
-
-def limit_point(c: Configuration, p: ModuliParams) -> Configuration:
-    _check_length(c, p)
-    return saturate_limit(c, p.n, p.N)
-
-
-def affine_chart(
-    c: Configuration, p: ModuliParams
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Deterministic chart partition (I1, I2, I3) around a stable-locus point.
-
-    Sizes are |I1| = n - 1, |I2| = N - n - 1, |I3| = 2 with membership
-    constraints: no [1:0] slot in I1, no [0:1] slot in I2, only finite
-    slots in I3.  Greedy, lowest indices first: I3 takes the two lowest
-    finite slots; I1 takes every [0:1] slot (nothing else can absorb them)
-    then fills up with the lowest remaining finite slots; I2 gets the rest.
-    A stable-locus point always has enough room in each part.
-    """
-    if not in_stable_locus(c, p):
-        raise NoChartError("affine charts exist only over the stable locus")
-    n, N = p.n, p.N
-    finite = [j for j, pt in enumerate(c.points) if pt.is_finite()]
-    zeros = [j for j, pt in enumerate(c.points) if pt.is_zero()]
-
-    i3 = finite[:2]
-    pool = [j for j in finite[2:]]
-    i1 = list(zeros)
-    for j in pool:
-        if len(i1) >= n - 1:
-            break
-        i1.append(j)
-    i1.sort()
-    used = set(i3) | set(i1)
-    i2 = [j for j in range(N) if j not in used]
-    return tuple(i1), tuple(i2), tuple(i3)
-
-
-def finite_parameters(c: Configuration) -> dict[int, Scalar]:
-    """Affine coordinates of the finite slots, keyed by slot index.
-
-    Equivariance: finite_parameters(act(s, c)) multiplies every value by s.
-    """
-    return {j: p.t for j, p in enumerate(c.points) if p.is_finite()}
 
 
 # serialization

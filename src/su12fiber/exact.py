@@ -103,9 +103,6 @@ class Scalar:
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) * self.inverse()
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.a, -self.b)
-
     def __str__(self) -> str:
         if not self.b:
             return str(self.a)
@@ -117,23 +114,32 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse "p/q" or "p/q+r/s*sqrt2" (also "-r/s*sqrt2", integer parts)."""
+        """Parse "p/q" or "p/q+r/s*sqrt2" (also "-r/s*sqrt2", integer parts).
+
+        Anything else, including a non-string or a zero denominator, raises
+        ValueError.
+        """
+        if not isinstance(text, str):
+            raise ValueError(f"scalar literal must be a string, got {text!r}")
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar literal")
-        if not s.endswith("*sqrt2"):
-            if "sqrt2" in s:
-                raise ValueError(f"malformed scalar literal: {text!r}")
-            return Scalar(Fraction(s))
-        body = s[: -len("*sqrt2")]
-        # split the rational part from the sqrt2 coefficient; the separator
-        # sign is the last +/- not in leading position
-        cut = max(body.rfind("+", 1), body.rfind("-", 1))
-        if cut <= 0:
-            return Scalar(Fraction(0), Fraction(body))
-        a_part, sign, b_part = body[:cut], body[cut], body[cut + 1 :]
-        b = Fraction(b_part)
-        return Scalar(Fraction(a_part), -b if sign == "-" else b)
+        try:
+            if not s.endswith("*sqrt2"):
+                if "sqrt2" in s:
+                    raise ValueError(f"malformed scalar literal: {text!r}")
+                return Scalar(Fraction(s))
+            body = s[: -len("*sqrt2")]
+            # split the rational part from the sqrt2 coefficient; the separator
+            # sign is the last +/- not in leading position
+            cut = max(body.rfind("+", 1), body.rfind("-", 1))
+            if cut <= 0:
+                return Scalar(Fraction(0), Fraction(body))
+            a_part, sign, b_part = body[:cut], body[cut], body[cut + 1 :]
+            b = Fraction(b_part)
+            return Scalar(Fraction(a_part), -b if sign == "-" else b)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
 
 
 _ZERO = Scalar(Fraction(0), Fraction(0))
@@ -336,11 +342,6 @@ class Mat2:
     @property
     def order(self) -> int:
         return self.entries[0][0].order
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[TruncatedSeries]]) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(((a, b), (c, d)))
 
     @staticmethod
     def from_cols(col0: SeriesPair, col1: SeriesPair) -> "Mat2":

@@ -32,7 +32,7 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 from .configuration import Configuration, act, mark_data, saturate_limit
-from .errors import LengthMismatchError, SearchSpaceError
+from .errors import LengthMismatchError, NoChartError, SearchSpaceError
 from .stability import ModuliParams, StabilityClass
 
 
@@ -122,6 +122,42 @@ def classify_closed_form(c: Configuration, lin: Linearization) -> GitClass:
     return GitClass.UNSTABLE
 
 
+def affine_chart(
+    c: Configuration, p: ModuliParams
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Deterministic chart partition (I1, I2, I3) around a stable-locus point.
+
+    Sizes are |I1| = n - 1, |I2| = N - n - 1, |I3| = 2 with membership
+    constraints: no [1:0] slot in I1, no [0:1] slot in I2, only finite
+    slots in I3.  Greedy, lowest indices first: I3 takes the two lowest
+    finite slots; I1 takes every [0:1] slot (nothing else can absorb them)
+    then fills up with the lowest remaining finite slots; I2 gets the rest.
+    A stable-locus point always has enough room in each part.  The stable
+    locus is empty when n lies outside [0, N], where no linearization
+    exists.
+    """
+    try:
+        lin = Linearization.for_moduli(p)
+    except ValueError:
+        lin = None
+    if lin is None or classify_closed_form(c, lin) is not GitClass.STABLE:
+        raise NoChartError("affine charts exist only over the stable locus")
+    n, N = p.n, p.N
+    finite = [j for j, pt in enumerate(c.points) if pt.is_finite()]
+    zeros = [j for j, pt in enumerate(c.points) if pt.is_zero()]
+
+    i3 = finite[:2]
+    i1 = list(zeros)
+    for j in finite[2:]:
+        if len(i1) >= n - 1:
+            break
+        i1.append(j)
+    i1.sort()
+    used = set(i3) | set(i1)
+    i2 = [j for j in range(N) if j not in used]
+    return tuple(i1), tuple(i2), tuple(i3)
+
+
 def composition_count(total: int, cap: int, length: int) -> int:
     """Number of integer vectors of the given length in [0, cap] summing to total."""
     if total < 0:
@@ -198,14 +234,16 @@ def bruteforce_search(
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    space = sum(
-        composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
-        for r in range(1, r_max + 1)
-    )
-    if space > budget:
-        raise SearchSpaceError(
-            f"enumeration of {space} balanced exponent vectors exceeds budget {budget}"
-        )
+    # stop summing at the first power that overflows the budget: a huge
+    # r_max must be refused without counting every power up to it
+    space = 0
+    for r in range(1, r_max + 1):
+        space += composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
+        if space > budget:
+            raise SearchSpaceError(
+                f"enumeration of {space} balanced exponent vectors up to power "
+                f"r = {r} exceeds budget {budget}"
+            )
 
     fixed = all(not p.is_finite() for p in c.points)
     marks = mark_data(c)

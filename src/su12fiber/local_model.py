@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .configuration import FiberPoint
 from .errors import (
@@ -260,16 +260,6 @@ def smith_form(phi: Mat2) -> tuple[Mat2, Mat2]:
     return p, q
 
 
-def is_injective(f: Mat2) -> bool:
-    """Nonvanishing determinant class at order T.
-
-    A nonzero class certifies injectivity of the genuine local map; at
-    this finite order the test cannot see a determinant vanishing to
-    order T or higher, so a False only means "not visibly injective".
-    """
-    return f.det().valuation() is not None
-
-
 # the canonical dual-wedge contraction
 
 
@@ -467,34 +457,39 @@ def random_covector(rng: Random) -> EvaluationCovector:
     return EvaluationCovector(random_scalar(rng, nonzero=True), Scalar.one())
 
 
+def _require(ok: bool, detail: str) -> None:
+    # an explicit raise, unlike a bare assert, still runs under python -O
+    if not ok:
+        raise AssertionError(detail)
+
+
 def _check_smith_randomized(rng: Random, order: int, cases: int) -> str:
     zeta = TruncatedSeries.zeta(order)
     target = Mat2.diag(TruncatedSeries.one(order), zeta)
-    for _ in range(cases):
+    for k in range(cases):
         phi = random_det_zeta_matrix(rng, order)
         p, q = smith_form(phi)
-        assert p @ phi @ q == target
-        assert p.is_unit() and q.is_unit()
+        _require(p @ phi @ q == target, f"case {k}: P @ phi @ Q != diag(1, zeta)")
+        _require(p.is_unit() and q.is_unit(), f"case {k}: P or Q is not a unit")
     return f"{cases} randomized reductions at order {order}"
 
 
 def _check_smith_worked_examples(rng: Random, order: int, cases: int) -> str:
     one = TruncatedSeries.one(order)
-    zero = TruncatedSeries.zero(order)
     zeta = TruncatedSeries.zeta(order)
     target = Mat2.diag(one, zeta)
 
-    already = Mat2.diag(one, zeta)
-    p, q = smith_form(already)
-    assert p == Mat2.identity(order) and q == Mat2.identity(order)
-
-    swapped = Mat2.diag(zeta, one)
-    p, q = smith_form(swapped)
-    assert p @ swapped @ q == target
-
-    mixed = Mat2(((one + zeta, zeta), (zeta, zeta)))
-    p, q = smith_form(mixed)
-    assert p @ mixed @ q == target
+    p, q = smith_form(target)
+    _require(
+        p == Mat2.identity(order) and q == Mat2.identity(order),
+        "the already-diagonal input did not reduce by identities",
+    )
+    for name, phi in (
+        ("swapped-diagonal", Mat2.diag(zeta, one)),
+        ("dense", Mat2(((one + zeta, zeta), (zeta, zeta)))),
+    ):
+        p, q = smith_form(phi)
+        _require(p @ phi @ q == target, f"the {name} input did not reduce to diag(1, zeta)")
     return "already-diagonal, swapped-diagonal, dense"
 
 
@@ -510,30 +505,35 @@ def _check_smith_rejects_bad_determinant(rng: Random, order: int, cases: int) ->
 
 def _check_hecke_round_trip(rng: Random, order: int, cases: int) -> str:
     zeta = TruncatedSeries.zeta(order)
-    for _ in range(cases):
+    for k in range(cases):
         xi = random_covector(rng)
+        where = f"case {k}, covector [{xi.xi0}:{xi.xi1}]"
         eps = hecke_frame(xi, order)
-        assert evaluate(xi, eps.col(0)).is_zero()
-        assert evaluate(xi, eps.col(1)).is_zero()
-        assert eps.det() == zeta
+        _require(
+            evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero(),
+            f"{where}: a frame column leaves the kernel",
+        )
+        _require(eps.det() == zeta, f"{where}: frame determinant != zeta")
         h = higgs_from_kernel_frame(eps)
-        assert h.gamma_beta() == zeta
-        assert higgs_vanishing_matches_point(xi, h)
-        assert kernel_frame_from_higgs(h) == eps
+        _require(h.gamma_beta() == zeta, f"{where}: gamma . beta != zeta")
+        _require(
+            higgs_vanishing_matches_point(xi, h),
+            f"{where}: vanishing pattern does not match the point type",
+        )
+        _require(kernel_frame_from_higgs(h) == eps, f"{where}: frame does not round-trip")
     return f"{cases} covectors round-tripped at order {order}"
 
 
 def _check_normal_form(rng: Random, order: int, cases: int) -> str:
-    for _ in range(max(cases, 1)):
-        b = random_scalar(rng, nonzero=True)
-        report = normal_form_check(b, order)
-        assert report.all_passed(), report.checks
-    assert normal_form_check(1, order).all_passed()
+    scales = [random_scalar(rng, nonzero=True) for _ in range(max(cases, 1))]
+    for b in scales + [Scalar.one()]:
+        failed = [name for name, ok in normal_form_check(b, order).checks if not ok]
+        _require(not failed, f"b = {b} at order {order}: {', '.join(failed)} failed")
     return f"{max(cases, 1)} frame normalizations at order {order}"
 
 
 def _check_contraction_naturality(rng: Random, order: int, cases: int) -> str:
-    for _ in range(cases):
+    for k in range(cases):
         while True:
             mu = (
                 (random_scalar(rng), random_scalar(rng)),
@@ -543,15 +543,19 @@ def _check_contraction_naturality(rng: Random, order: int, cases: int) -> str:
                 break
         ell = (random_scalar(rng), random_scalar(rng))
         wedge = random_scalar(rng, nonzero=True)
-        report = contraction_report(ell, wedge, mu)
-        assert report.all_passed(), (ell, wedge, mu)
+        _require(
+            contraction_report(ell, wedge, mu).all_passed(),
+            f"case {k}: determinant identification or naturality failed",
+        )
     canonical = contraction_report(
         (Scalar.one(), Scalar.zero()),
         Scalar.one(),
         ((Scalar.of(2), Scalar.zero()), (Scalar.zero(), Scalar.one())),
     )
-    assert canonical.image == (Scalar.zero(), -Scalar.one())
-    assert canonical.all_passed()
+    _require(
+        canonical.image == (Scalar.zero(), -Scalar.one()) and canonical.all_passed(),
+        "the basis covector (1, 0) under diag(2, 1) contracts wrongly",
+    )
     return f"{cases} random changes of basis"
 
 

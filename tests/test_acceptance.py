@@ -9,17 +9,17 @@ import time
 from fractions import Fraction
 from random import Random
 
+from su12fiber import local_model
 from su12fiber.configuration import (
     Configuration,
     FiberPoint,
     act,
-    in_stable_locus,
-    limit_point,
     mark_data,
     orbit_equivalent,
+    saturate_limit,
     stratum_of,
 )
-from su12fiber.exact import DEFAULT_ORDER, Mat2, Scalar, TruncatedSeries
+from su12fiber.exact import DEFAULT_ORDER, Scalar
 from su12fiber.git_engine import (
     GitClass,
     Linearization,
@@ -27,16 +27,6 @@ from su12fiber.git_engine import (
     classify_closed_form,
     git_class_of_stability,
     s_equivalence_representative,
-)
-from su12fiber.local_model import (
-    evaluate,
-    hecke_frame,
-    higgs_from_kernel_frame,
-    higgs_vanishing_matches_point,
-    normal_form_check,
-    random_covector,
-    random_det_zeta_matrix,
-    smith_form,
 )
 from su12fiber.stability import ModuliParams, StabilityClass, census, classify_partition
 
@@ -46,6 +36,16 @@ G2D0 = ModuliParams(2, 0)
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def _report_suite(num: int, name: str, runs) -> None:
+    """Run local_model self-check suite checks in order: (check, rng, order, cases)."""
+    try:
+        details = [check(rng, order, cases) for check, rng, order, cases in runs]
+    except AssertionError as exc:
+        _report(num, name, False, str(exc))
+    else:
+        _report(num, name, True, "; ".join(details))
 
 
 def _random_nonzero_scalar(rng: Random) -> Scalar:
@@ -116,8 +116,6 @@ def test_criterion_2_stability_git_dictionary():
     for _ in range(1000):
         c = _config_from_pattern(rng.choice(patterns), rng)
         git = classify_closed_form(c, lin)
-        if in_stable_locus(c, G2D0) != (git is GitClass.STABLE):
-            failures.append(("stable-locus", c))
         partition_class = classify_partition(G2D0, stratum_of(c))
         if git_class_of_stability(partition_class) is not git:
             failures.append(("dictionary", c, partition_class, git))
@@ -151,79 +149,31 @@ def test_criterion_3_census_counts():
 
 
 def test_criterion_4_smith_form():
-    T = 8
     rng = Random(404)
-    one, zeta = TruncatedSeries.one(T), TruncatedSeries.zeta(T)
-    target = Mat2.diag(one, zeta)
-    failures = 0
-    for _ in range(200):
-        phi = random_det_zeta_matrix(rng, T)
-        p, q = smith_form(phi)
-        if p @ phi @ q != target or not p.is_unit() or not q.is_unit():
-            failures += 1
-    worked = [
-        Mat2.diag(one, zeta),
-        Mat2.diag(zeta, one),
-        Mat2(((one + zeta, zeta), (zeta, zeta))),
-    ]
-    for phi in worked:
-        p, q = smith_form(phi)
-        if p @ phi @ q != target:
-            failures += 1
-    _report(
+    _report_suite(
         4,
         "Smith reduction to diag(1, zeta)",
-        failures == 0,
-        "200 randomized + 3 worked inputs at order 8, exact",
+        [
+            (local_model._check_smith_randomized, rng, 8, 200),
+            (local_model._check_smith_worked_examples, rng, 8, 3),
+        ],
     )
 
 
 def test_criterion_5_normal_form():
     rng = Random(505)
-    failures = []
-    for order in range(2, 13):
-        reference = normal_form_check(1, order)
-        for _ in range(20):
-            b = _random_nonzero_scalar(rng)
-            report = normal_form_check(b, order)
-            zeta = TruncatedSeries.zeta(order)
-            if not report.all_passed():
-                failures.append((order, b, "checks"))
-            if report.higgs.gamma_beta() != zeta:
-                failures.append((order, b, "gamma_beta"))
-            if report.kernel_frame != reference.kernel_frame or report.higgs != reference.higgs:
-                failures.append((order, b, "b-dependence"))
-    _report(
+    _report_suite(
         5,
         "local normal form",
-        not failures,
-        "orders 2..12, 20 random b each, gamma.beta = zeta and b-free"
-        if not failures
-        else f"failures={failures[:3]}",
+        [(local_model._check_normal_form, rng, order, 20) for order in range(2, 13)],
     )
 
 
 def test_criterion_6_hecke_round_trip():
-    rng = Random(606)
-    T = DEFAULT_ORDER
-    zeta = TruncatedSeries.zeta(T)
-    failures = []
-    for _ in range(500):
-        xi = random_covector(rng)
-        eps = hecke_frame(xi, T)
-        if not (evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero()):
-            failures.append((xi, "evaluation"))
-        if eps.det() != zeta:
-            failures.append((xi, "determinant"))
-        if not higgs_vanishing_matches_point(xi, higgs_from_kernel_frame(eps)):
-            failures.append((xi, "vanishing pattern"))
-    _report(
+    _report_suite(
         6,
         "Hecke kernel round trip",
-        not failures,
-        "500 covectors: ev.frame = 0, det = zeta, vanishing matches point type"
-        if not failures
-        else f"failures={failures[:3]}",
+        [(local_model._check_hecke_round_trip, Random(606), DEFAULT_ORDER, 500)],
     )
 
 
@@ -250,7 +200,7 @@ def test_criterion_7_orbit_s_equivalence():
             continue
         semistable_count += 1
         rep = s_equivalence_representative(c, lin)
-        if rep != limit_point(c, G2D0):
+        if rep != saturate_limit(c, lin.n, lin.N):
             failures.append((pattern, "representative is not the limit"))
         if act(_random_nonzero_scalar(rng), rep) != rep:
             failures.append((pattern, "representative is not fixed"))
@@ -274,7 +224,6 @@ def test_criterion_8_scaling_invariance():
         base = (
             classify_closed_form(x, lin),
             stratum_of(x),
-            in_stable_locus(x, G2D0),
             (mark_data(x).n_zero, mark_data(x).n_inf),
         )
         for _ in range(100):
@@ -282,7 +231,6 @@ def test_criterion_8_scaling_invariance():
             scaled = (
                 classify_closed_form(y, lin),
                 stratum_of(y),
-                in_stable_locus(y, G2D0),
                 (mark_data(y).n_zero, mark_data(y).n_inf),
             )
             if scaled != base:

@@ -1,6 +1,14 @@
-"""Exercises the command surface in-process: payloads, formats, exit codes."""
+"""Exercises the command surface: payloads, formats, exit codes.
+
+Most tests call cli.main in-process; a fresh interpreter is used where the
+interpreter itself matters (python -O, python -m, a hard timeout).
+"""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +21,8 @@ from su12fiber.configuration import (
 )
 from su12fiber.exact import Scalar
 from su12fiber.git_engine import GitClass
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 Z = FiberPoint.zero()
 I = FiberPoint.infinity()
@@ -36,6 +46,21 @@ def run_json(capsys, *argv):
 def write_configs(path, configs):
     path.write_text(json.dumps([config_to_json(c) for c in configs]))
     return str(path)
+
+
+CLI_SCRIPT = "import sys\nfrom su12fiber import cli, local_model\n{}sys.exit(cli.main(sys.argv[1:]))\n"
+
+
+def run_python(*args, timeout=60):
+    """A fresh interpreter with the package source on its path."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 # stability
@@ -207,6 +232,30 @@ def test_git_classify_rejects_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("t", ["1/0", 5])
+def test_git_classify_rejects_malformed_coordinate(tmp_path, capsys, t):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([{"base": "L0", "points": ["zero", {"t": t}, {"t": "2"}, "inf"]}]))
+    code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}[0]: ") and err.count("\n") == 1
+
+
+def test_git_classify_refuses_huge_rmax_before_counting(tmp_path):
+    # the budget pre-check stops at the first power that overflows it,
+    # so r_max = 2000 is refused as fast as r_max = 2
+    path = write_configs(
+        tmp_path / "c.json", [Configuration.of("L0", [Z, F(1), F(2), F(3), F(4), F(5), F(6), I])]
+    )
+    result = run_python(
+        "-c", CLI_SCRIPT.format(""),
+        "git-classify", "--genus", "3", "--rmax", "2000", "--input", path,
+        timeout=10,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and "exceeds budget" in result.stderr
+
+
 def test_git_classify_rejects_out_of_range_degree(tmp_path, capsys):
     path = write_configs(tmp_path / "c.json", [])
     code, _, err = run(
@@ -262,6 +311,17 @@ def test_local_verify_failure_exits_two(capsys, monkeypatch):
     assert payload["all_passed"] is False
 
 
+def test_local_verify_catches_planted_fault_under_optimize():
+    # python -O strips assert statements; the suite's checks must still fire
+    fault = "local_model.higgs_vanishing_matches_point = lambda xi, h: False\n"
+    result = run_python("-O", "-c", CLI_SCRIPT.format(fault), "local-model-verify", "--cases", "2")
+    assert result.returncode == 2
+    payload = json.loads(result.stdout)
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["hecke_round_trip"]
+    assert failed[0]["detail"]
+
+
 def test_local_verify_rejects_tiny_truncation(capsys):
     code, _, err = run(capsys, "local-model-verify", "--truncation", "1")
     assert code == 1
@@ -281,6 +341,12 @@ def test_missing_required_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "stability", "--genus", "2", "--dbeta", "1")
     assert code == 1
     assert "dgamma" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    result = run_python("-m", "su12fiber", "census", "--genus", "2")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["totals"]["all"] == 81
 
 
 def test_output_flag_writes_file(tmp_path, capsys):

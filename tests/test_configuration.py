@@ -3,19 +3,13 @@ import json
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from su12fiber.configuration import (
     Configuration,
     FiberPoint,
     act,
-    affine_chart,
     config_from_json,
     config_to_json,
-    finite_parameters,
-    in_stable_locus,
-    limit_point,
     mark_data,
     orbit_equivalent,
     point_from_json,
@@ -29,9 +23,11 @@ from su12fiber.errors import (
     NotOnBoundaryError,
 )
 from su12fiber.exact import Scalar
+from su12fiber.git_engine import GitClass, Linearization, affine_chart, classify_closed_form
 from su12fiber.stability import Label, ModuliParams
 
 G2D0 = ModuliParams(2, 0)
+LIN = Linearization.for_moduli(G2D0)
 
 Z = FiberPoint.zero()
 I = FiberPoint.infinity()
@@ -79,15 +75,6 @@ def test_mark_data():
     assert marks.n_inf == 1
 
 
-def test_in_stable_locus():
-    assert in_stable_locus(cfg(Z, F(1), F(2), I), G2D0)
-    assert not in_stable_locus(cfg(Z, Z, F(1), F(2)), G2D0)
-    assert not in_stable_locus(cfg(F(1), F(2), I, I), G2D0)
-    assert in_stable_locus(cfg(F(1), F(2), F(3), F(4)), G2D0)
-    with pytest.raises(LengthMismatchError):
-        in_stable_locus(cfg(Z, Z), G2D0)
-
-
 def test_stratum_of():
     part = stratum_of(cfg(Z, I, F(1), F(2)))
     assert part.labels == (Label.GAMMA, Label.BETA, Label.REST, Label.REST)
@@ -126,30 +113,30 @@ def test_orbit_equivalent_negative_cases():
 
 def test_limit_point_zero_saturated():
     c = cfg(Z, Z, F(5), I)
-    assert limit_point(c, G2D0) == cfg(Z, Z, I, I)
+    assert saturate_limit(c, G2D0.n, G2D0.N) == cfg(Z, Z, I, I)
 
 
 def test_limit_point_infinity_saturated():
     # positions are preserved: the two finite slots collapse to [0:1]
     c = cfg(I, I, F(1), F(2))
-    assert limit_point(c, G2D0) == cfg(I, I, Z, Z)
+    assert saturate_limit(c, G2D0.n, G2D0.N) == cfg(I, I, Z, Z)
 
 
 def test_limit_point_fixed_configuration():
     c = cfg(Z, Z, I, I)
-    assert limit_point(c, G2D0) == c
+    assert saturate_limit(c, G2D0.n, G2D0.N) == c
 
 
 def test_limit_point_is_fixed_by_action():
     c = cfg(Z, F(2), F(7), Z)
-    lim = limit_point(c, G2D0)
+    lim = saturate_limit(c, G2D0.n, G2D0.N)
     assert act(5, lim) == lim
     assert all(not p.is_finite() for p in lim.points)
 
 
 def test_limit_point_requires_boundary():
     with pytest.raises(NotOnBoundaryError):
-        limit_point(cfg(Z, F(1), F(2), I), G2D0)
+        saturate_limit(cfg(Z, F(1), F(2), I), G2D0.n, G2D0.N)
     with pytest.raises(LengthMismatchError):
         saturate_limit(cfg(Z, Z), 2, 4)
 
@@ -159,6 +146,10 @@ def test_affine_chart_examples():
     assert (i1, i2, i3) == ((0,), (1,), (2, 3))
     i1, i2, i3 = affine_chart(cfg(F(1), F(2), F(3), F(4)), G2D0)
     assert (i1, i2, i3) == ((2,), (3,), (0, 1))
+    # outside the Milnor-Wood range n leaves [0, N] and no chart exists
+    for degree in (-5, 5):
+        with pytest.raises(NoChartError):
+            affine_chart(cfg(F(1), F(2), F(3), F(4)), ModuliParams(2, degree))
 
 
 def test_affine_chart_zero_slot_never_lands_in_i2():
@@ -174,7 +165,7 @@ def test_affine_chart_exhaustive_validity():
     rng = random.Random(11)
     p = G2D0
     for c in all_g2d0_patterns(rng):
-        if not in_stable_locus(c, p):
+        if classify_closed_form(c, LIN) is not GitClass.STABLE:
             with pytest.raises(NoChartError):
                 affine_chart(c, p)
             continue
@@ -192,25 +183,12 @@ def test_affine_chart_larger_genus():
     p = ModuliParams(3, 1)  # N = 8, n = 6
     points = [Z, Z, F(1), F(2), F(3), I, F(4), Z]
     c = cfg(*points)
-    assert in_stable_locus(c, p)
+    assert classify_closed_form(c, Linearization.for_moduli(p)) is GitClass.STABLE
     i1, i2, i3 = affine_chart(c, p)
     assert len(i1) == 5 and len(i2) == 1 and len(i3) == 2
     assert set(i1) >= {0, 1, 7}  # every [0:1] slot is absorbed by I1
     assert all(c.points[j].is_finite() for j in i3)
     assert all(not c.points[j].is_zero() for j in i2)
-
-
-def test_finite_parameters():
-    params = finite_parameters(cfg(Z, F(5), I, F(7)))
-    assert params == {1: Scalar.of(5), 3: Scalar.of(7)}
-
-
-@given(st.integers(1, 50), st.integers(1, 9))
-def test_finite_parameters_equivariance(t, s):
-    c = cfg(Z, F(t), I, F(2 * t))
-    scaled = finite_parameters(act(s, c))
-    base = finite_parameters(c)
-    assert scaled == {j: Scalar.of(s) * v for j, v in base.items()}
 
 
 def test_classifiers_invariant_under_action():
@@ -220,7 +198,7 @@ def test_classifiers_invariant_under_action():
             moved = act(s, c)
             assert mark_data(moved) == mark_data(c)
             assert stratum_of(moved) == stratum_of(c)
-            assert in_stable_locus(moved, G2D0) == in_stable_locus(c, G2D0)
+            assert classify_closed_form(moved, LIN) is classify_closed_form(c, LIN)
 
 
 def test_json_round_trip():
@@ -238,6 +216,10 @@ def test_json_malformed():
         point_from_json("infty")
     with pytest.raises(ValueError):
         point_from_json({"t": "0"})
+    with pytest.raises(ValueError):
+        point_from_json({"t": "1/0"})
+    with pytest.raises(ValueError):
+        point_from_json({"t": 5})
     with pytest.raises(ValueError):
         config_from_json({"points": ["zero"]})
     with pytest.raises(ValueError):

@@ -92,6 +92,12 @@ def test_scalar_parse_forms():
         Scalar.parse("sqrt3")
     with pytest.raises(ValueError):
         Scalar.parse("")
+    with pytest.raises(ValueError):
+        Scalar.parse("1/0")
+    with pytest.raises(ValueError):
+        Scalar.parse("1/2+1/0*sqrt2")
+    with pytest.raises(ValueError):
+        Scalar.parse(5)
 
 
 # truncated series

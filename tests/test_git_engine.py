@@ -93,6 +93,9 @@ def test_classify_closed_form():
     assert classify_closed_form(cfg(Z, Z, I, I), LIN) is GitClass.STRICTLY_SEMISTABLE
     assert classify_closed_form(cfg(Z, Z, Z, F(1)), LIN) is GitClass.UNSTABLE
     assert classify_closed_form(cfg(I, I, I, F(1)), LIN) is GitClass.UNSTABLE
+    assert classify_closed_form(cfg(F(1), F(2), I, I), LIN) is GitClass.STRICTLY_SEMISTABLE
+    with pytest.raises(LengthMismatchError):
+        classify_closed_form(cfg(Z, Z), LIN)
 
 
 def test_composition_count_matches_enumeration():

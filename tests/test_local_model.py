@@ -18,8 +18,6 @@ from su12fiber.local_model import (
     hecke_kernel,
     higgs_from_kernel_frame,
     higgs_vanishing_matches_point,
-    is_injective,
-    kernel_frame_from_higgs,
     kernel_frame_matrix,
     normal_form_check,
     random_covector,
@@ -100,13 +98,7 @@ def test_frame_rejects_double_zero():
 
 
 def test_higgs_round_trip_both_ways():
-    rng = Random(23)
-    for _ in range(40):
-        eps = hecke_frame(random_covector(rng), T)
-        h = higgs_from_kernel_frame(eps)
-        assert kernel_frame_from_higgs(h) == eps
-        assert h.gamma_beta() == ZETA
-        assert higgs_from_kernel_frame(kernel_frame_from_higgs(h)) == h
+    local_model._check_hecke_round_trip(Random(23), T, 40)
 
 
 def test_higgs_requires_det_zeta_frame():
@@ -179,15 +171,7 @@ def test_smith_rejects_wrong_determinant():
 
 @pytest.mark.parametrize("order", list(range(2, 13)))
 def test_smith_randomized_all_orders(order):
-    rng = Random(1000 + order)
-    one = TruncatedSeries.one(order)
-    zeta = TruncatedSeries.zeta(order)
-    target = Mat2.diag(one, zeta)
-    for _ in range(12):
-        phi = random_det_zeta_matrix(rng, order)
-        p, q = smith_form(phi)
-        assert p @ phi @ q == target
-        assert p.is_unit() and q.is_unit()
+    local_model._check_smith_randomized(Random(1000 + order), order, 12)
 
 
 def test_smith_transforms_are_exact_units():
@@ -197,15 +181,6 @@ def test_smith_transforms_are_exact_units():
         p, q = smith_form(phi)
         assert (p.inverse() @ p) == Mat2.identity(T)
         assert (q @ q.inverse()) == Mat2.identity(T)
-
-
-def test_is_injective_is_a_finite_order_proxy():
-    assert is_injective(TARGET)
-    assert is_injective(Mat2.identity(T))
-    assert not is_injective(Mat2.diag(ZERO, ONE))
-    # det = zeta^(2T-2) truncates to the zero class: invisible at this order
-    tall = TruncatedSeries.monomial(T - 1, T)
-    assert not is_injective(Mat2.diag(tall, tall))
 
 
 # contraction
@@ -233,17 +208,7 @@ def test_contraction_naturality_diag_2_1():
 
 
 def test_contraction_naturality_random():
-    rng = Random(5)
-    for _ in range(60):
-        mu = (
-            (local_model.random_scalar(rng), local_model.random_scalar(rng)),
-            (local_model.random_scalar(rng), local_model.random_scalar(rng)),
-        )
-        if local_model._scalar_mat_det(mu).is_zero():
-            continue
-        ell = (local_model.random_scalar(rng), local_model.random_scalar(rng))
-        wedge = local_model.random_scalar(rng, nonzero=True)
-        assert contraction_report(ell, wedge, mu).naturality_holds is True
+    local_model._check_contraction_naturality(Random(5), T, 60)
 
 
 def test_contraction_rejects_singular_change_of_basis():
@@ -269,9 +234,7 @@ def test_normal_form_matrices():
 
 @pytest.mark.parametrize("order", list(range(2, 13)))
 def test_normal_form_every_order(order):
-    for b in (1, -2, Scalar(0, 1), Scalar.sqrt2() - 1):
-        report = normal_form_check(b, order)
-        assert report.all_passed(), (order, b, report.checks)
+    local_model._check_normal_form(Random(order), order, 4)
 
 
 def test_normal_form_output_has_no_b_dependence():
@@ -313,6 +276,78 @@ def test_verification_suite_reports_failures(monkeypatch):
         "passed": False,
         "detail": "planted failure",
     }
+
+
+def _q_without_top_coefficient(smith):
+    # a truncation off-by-one: only inputs with dense Q notice
+    def faulty(phi):
+        p, q = smith(phi)
+        cut = tuple(
+            tuple(TruncatedSeries.from_coeffs(e.coeffs[:-1], e.order) for e in row)
+            for row in q.entries
+        )
+        return p, Mat2(cut)
+
+    return faulty
+
+
+def _negated_transforms(smith):
+    # still a reduction, but no longer the identity on diagonal input
+    def faulty(phi):
+        p, q = smith(phi)
+        minus = Mat2.diag(-TruncatedSeries.one(phi.order), -TruncatedSeries.one(phi.order))
+        return minus @ p, q @ minus
+
+    return faulty
+
+
+def _accepts_any_determinant(smith):
+    def faulty(phi):
+        if phi.det() != TruncatedSeries.zeta(phi.order):
+            return Mat2.identity(phi.order), Mat2.identity(phi.order)
+        return smith(phi)
+
+    return faulty
+
+
+def _frame_of_swapped_covector(frame):
+    return lambda xi, order=T: frame(EvaluationCovector(xi.xi1, xi.xi0), order)
+
+
+def _frame_off_by_a_unit(data):
+    # det stays zeta, so only the normal-form comparisons can notice
+    def faulty(order):
+        xi, eps, _ = data(order)
+        u = TruncatedSeries.one(order) + TruncatedSeries.zeta(order)
+        eps = eps.scale_col(0, u).scale_col(1, u.inverse())
+        return xi, eps, higgs_from_kernel_frame(eps)
+
+    return faulty
+
+
+def _contraction_ignoring_wedge(contraction):
+    return lambda ell, wedge: contraction(ell, Scalar.one())
+
+
+PLANTED_FAULTS = {
+    "smith_randomized": ("smith_form", _q_without_top_coefficient),
+    "smith_worked_examples": ("smith_form", _negated_transforms),
+    "smith_rejects_bad_determinant": ("smith_form", _accepts_any_determinant),
+    "hecke_round_trip": ("hecke_frame", _frame_of_swapped_covector),
+    "normal_form": ("_normal_form_data", _frame_off_by_a_unit),
+    "contraction_naturality": ("dual_wedge_contraction", _contraction_ignoring_wedge),
+}
+
+
+@pytest.mark.parametrize("check", list(PLANTED_FAULTS))
+def test_verification_suite_catches_each_planted_fault(check, monkeypatch):
+    target, fault = PLANTED_FAULTS[check]
+    monkeypatch.setattr(local_model, target, fault(getattr(local_model, target)))
+    report = verification_suite(order=4, seed=0, cases=3)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [check]
+    assert failed[0]["detail"]
+    assert report["all_passed"] is False
 
 
 def test_verification_suite_validates_arguments():
