@@ -247,6 +247,8 @@ def _load_configurations(path: str, expected_slots: int) -> list[Configuration]:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise _UsageError(f"{path} nests JSON too deeply to read") from exc
     if not isinstance(data, list):
         raise _UsageError(f"{path} must hold a JSON array of configurations")
     configs = []

@@ -5,15 +5,28 @@ for a fixed truncation order T.  Keeping the coefficient field exact turns
 every check in the package into a zero-tolerance equality; no floats appear
 anywhere.
 
-Scalars are a + b*sqrt2 with Fraction components.  Series are coefficient
-vectors of fixed length T; all ring operations stay at one order and refuse
-to mix orders.  A series is a unit iff its constant term is nonzero.
+Scalars and series share one representation: integer numerators for the
+rational part and for the sqrt2 part over one positive denominator, in
+lowest terms (the gcd of the denominator and every numerator is 1), the
+layout of FLINT's fmpq_poly.  A scalar (a + b*sqrt2) / d is the triple
+(a, b, d); a series of order T is two length-T tuples of numerators and
+one d.  Every operation runs on Python ints and divides out one gcd at
+the end, not one per coefficient, and lowest terms make equality a
+comparison of triples.  The Fraction components Scalar.a and Scalar.b,
+and the Scalar coefficients TruncatedSeries.coeffs and series[k], are
+read-only views built on demand.
+
+Series are coefficient vectors of fixed length T; all ring operations stay
+at one order and refuse to mix orders.  A series is a unit iff its constant
+term is nonzero.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .errors import NonUnitError, OrderMismatchError
@@ -29,21 +42,56 @@ def _as_fraction(x: Union[int, Fraction]) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _scalar(a: int, b: int, d: int) -> "Scalar":
+    """The scalar (a + b*sqrt2) / d for d != 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    s = object.__new__(Scalar)
+    if g == 1:
+        s._a, s._b, s._d = a, b, d
+    else:
+        s._a, s._b, s._d = a // g, b // g, d // g
+    return s
+
+
+# the rational part of a literal, and the whole README grammar: "p/q",
+# "p/q+r/s*sqrt2", "p/q-r/s*sqrt2" and "r/s*sqrt2", integers allowed
+_RATIONAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_LITERAL = re.compile(
+    rf"(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>[0-9]+(?:/[0-9]+)?)\*sqrt2)?"
+    rf"|(?P<b_alone>{_RATIONAL})\*sqrt2"
+)
+
+
 class Scalar:
     """Element a + b*sqrt2 of the real quadratic field Q(sqrt2).
 
-    Components are reduced rationals of arbitrary precision.  The field
-    norm a^2 - 2*b^2 vanishes only at zero (sqrt2 is irrational), so
-    every nonzero element is invertible.
+    Components are rationals of arbitrary precision.  The field norm
+    a^2 - 2*b^2 vanishes only at zero (sqrt2 is irrational), so every
+    nonzero element is invertible.
     """
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+    def __init__(self, a: Union[int, Fraction] = 0, b: Union[int, Fraction] = 0) -> None:
+        fa, fb = _as_fraction(a), _as_fraction(b)
+        qa, qb = fa.denominator, fb.denominator
+        d = qa // gcd(qa, qb) * qb
+        # both Fractions are reduced, so (a, b, lcm) is in lowest terms
+        self._a = fa.numerator * (d // qa)
+        self._b = fb.numerator * (d // qb)
+        self._d = d
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt2."""
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def of(x: ScalarLike) -> "Scalar":
@@ -64,19 +112,28 @@ class Scalar:
         return _SQRT2
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self._a and not self._b
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self._d == other._d and self._a == other._a and self._b == other._b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
     def __add__(self, other: ScalarLike) -> "Scalar":
         o = Scalar.of(other)
-        return Scalar(self.a + o.a, self.b + o.b)
+        d, e = self._d, o._d
+        return _scalar(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b)
+        return _scalar(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
         return self + (-Scalar.of(other))
@@ -86,16 +143,19 @@ class Scalar:
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         o = Scalar.of(other)
-        # (a + b s)(c + d s) = ac + 2bd + (ad + bc) s  with s^2 = 2
-        return Scalar(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        a, b, c, e = self._a, self._b, o._a, o._b
+        # (a + b s)(c + e s) = ac + 2be + (ae + bc) s  with s^2 = 2
+        return _scalar(a * c + 2 * b * e, a * e + b * c, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        norm = self.a * self.a - 2 * self.b * self.b
+        a, b = self._a, self._b
+        norm = a * a - 2 * b * b
         if not norm:
             raise ZeroDivisionError("zero is not invertible in Q(sqrt2)")
-        return Scalar(self.a / norm, -self.b / norm)
+        # d / (a + b s) = d (a - b s) / (a^2 - 2 b^2)
+        return _scalar(self._d * a, -self._d * b, norm)
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
         return self * Scalar.of(other).inverse()
@@ -104,10 +164,11 @@ class Scalar:
         return Scalar.of(other) * self.inverse()
 
     def __str__(self) -> str:
-        if not self.b:
+        if not self._b:
             return str(self.a)
-        sign = "-" if self.b < 0 else "+"
-        return f"{self.a}{sign}{abs(self.b)}*sqrt2"
+        b = self.b
+        sign = "-" if b < 0 else "+"
+        return f"{self.a}{sign}{abs(b)}*sqrt2"
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"
@@ -116,7 +177,8 @@ class Scalar:
     def parse(text: str) -> "Scalar":
         """Parse "p/q" or "p/q+r/s*sqrt2" (also "-r/s*sqrt2", integer parts).
 
-        Anything else, including a non-string or a zero denominator, raises
+        Spaces are ignored.  Anything else, including a non-string, a
+        decimal or exponent literal, or a zero denominator, raises
         ValueError.
         """
         if not isinstance(text, str):
@@ -124,32 +186,40 @@ class Scalar:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar literal")
+        m = _LITERAL.fullmatch(s)
+        if m is None:
+            raise ValueError(f"malformed scalar literal: {text!r}")
         try:
-            if not s.endswith("*sqrt2"):
-                if "sqrt2" in s:
-                    raise ValueError(f"malformed scalar literal: {text!r}")
-                return Scalar(Fraction(s))
-            body = s[: -len("*sqrt2")]
-            # split the rational part from the sqrt2 coefficient; the separator
-            # sign is the last +/- not in leading position
-            cut = max(body.rfind("+", 1), body.rfind("-", 1))
-            if cut <= 0:
-                return Scalar(Fraction(0), Fraction(body))
-            a_part, sign, b_part = body[:cut], body[cut], body[cut + 1 :]
-            b = Fraction(b_part)
-            return Scalar(Fraction(a_part), -b if sign == "-" else b)
+            if m["b_alone"] is not None:
+                return Scalar(0, Fraction(m["b_alone"]))
+            b = Fraction(m["b"]) if m["b"] is not None else Fraction(0)
+            return Scalar(Fraction(m["a"]), -b if m["sign"] == "-" else b)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
 
 
-_ZERO = Scalar(Fraction(0), Fraction(0))
-_ONE = Scalar(Fraction(1), Fraction(0))
-_SQRT2 = Scalar(Fraction(0), Fraction(1))
+_ZERO = Scalar(0, 0)
+_ONE = Scalar(1, 0)
+_SQRT2 = Scalar(0, 1)
 
 DEFAULT_ORDER = 8
 
 
-@dataclass(frozen=True)
+def _series(a: Sequence[int], b: Sequence[int], d: int) -> "TruncatedSeries":
+    """The series (a + b*sqrt2) / d for d != 0, brought to lowest terms."""
+    g = gcd(d, *a, *b)
+    if d < 0:
+        g = -g
+    s = object.__new__(TruncatedSeries)
+    if g == 1:
+        s._a, s._b, s._d = tuple(a), tuple(b), d
+    else:
+        s._a = tuple([x // g for x in a])
+        s._b = tuple([y // g for y in b])
+        s._d = d // g
+    return s
+
+
 class TruncatedSeries:
     """Element of Q(sqrt2)[[zeta]] / zeta^T as a coefficient vector of length T.
 
@@ -158,19 +228,29 @@ class TruncatedSeries:
     OrderMismatchError rather than silently re-truncate.
     """
 
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[ScalarLike]) -> None:
+        cs = [Scalar.of(c) for c in coeffs]
+        if not cs:
             raise ValueError("truncation order must be >= 1")
-        if not all(isinstance(c, Scalar) for c in self.coeffs):
-            object.__setattr__(
-                self, "coeffs", tuple(Scalar.of(c) for c in self.coeffs)
-            )
+        d = 1
+        for c in cs:
+            d = d // gcd(d, c._d) * c._d
+        # every coefficient is in lowest terms and d is the lcm of their
+        # denominators, so the packed series is in lowest terms as well
+        self._a = tuple(c._a * (d // c._d) for c in cs)
+        self._b = tuple(c._b * (d // c._d) for c in cs)
+        self._d = d
 
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self._a)
+
+    @property
+    def coeffs(self) -> tuple[Scalar, ...]:
+        d = self._d
+        return tuple(_scalar(x, y, d) for x, y in zip(self._a, self._b))
 
     # constructors
 
@@ -180,7 +260,7 @@ class TruncatedSeries:
         if len(vals) > order:
             raise ValueError(f"{len(vals)} coefficients exceed order {order}")
         vals += [Scalar.zero()] * (order - len(vals))
-        return TruncatedSeries(tuple(vals))
+        return TruncatedSeries(vals)
 
     @staticmethod
     def constant(value: ScalarLike, order: int) -> "TruncatedSeries":
@@ -204,29 +284,37 @@ class TruncatedSeries:
             raise ValueError(f"exponent {k} out of range for order {order}")
         coeffs = [Scalar.zero()] * order
         coeffs[k] = Scalar.of(value)
-        return TruncatedSeries(tuple(coeffs))
+        return TruncatedSeries(coeffs)
 
     # inspection
 
     def __getitem__(self, k: int) -> Scalar:
-        return self.coeffs[k]
+        return _scalar(self._a[k], self._b[k], self._d)
 
     @property
     def constant_term(self) -> Scalar:
-        return self.coeffs[0]
+        return self[0]
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self._a) and not any(self._b)
 
     def is_unit(self) -> bool:
-        return not self.coeffs[0].is_zero()
+        return bool(self._a[0] or self._b[0])
 
     def valuation(self) -> int | None:
         """Index of the lowest nonzero coefficient, None for the zero class."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for k, (x, y) in enumerate(zip(self._a, self._b)):
+            if x or y:
                 return k
         return None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TruncatedSeries:
+            return NotImplemented
+        return self._d == other._d and self._a == other._a and self._b == other._b
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     # ring operations
 
@@ -242,50 +330,80 @@ class TruncatedSeries:
             return other
         return TruncatedSeries.constant(Scalar.of(other), self.order)
 
+    def _plus(self, o: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * o over the least common denominator."""
+        g = gcd(self._d, o._d)
+        f, h = o._d // g, sign * (self._d // g)
+        return _series(
+            [x * f + u * h for x, u in zip(self._a, o._a)],
+            [y * f + v * h for y, v in zip(self._b, o._b)],
+            self._d * f,
+        )
+
     def __add__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
-        return TruncatedSeries(tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coeffs))
+        return _series([-x for x in self._a], [-y for y in self._b], self._d)
 
     def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "TruncatedSeries":
         o = self._coerce(other)
-        T = self.order
-        out = [Scalar.zero()] * T
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j in range(T - i):
-                y = o.coeffs[j]
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return TruncatedSeries(tuple(out))
+        u, v = o._a, o._b
+        T = len(u)
+        A = [0] * T
+        B = [0] * T
+        # schoolbook convolution truncated at T, with s^2 = 2:
+        # (x + y s)(p + q s) = xp + 2yq + (xq + yp) s
+        for i, (x, y) in enumerate(zip(self._a, self._b)):
+            if y:
+                y2 = 2 * y
+                for k, p, q in zip(range(i, T), u, v):
+                    A[k] += x * p + y2 * q
+                    B[k] += x * q + y * p
+            elif x:
+                for k, p, q in zip(range(i, T), u, v):
+                    A[k] += x * p
+                    B[k] += x * q
+        return _series(A, B, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; defined iff the constant term is nonzero."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
+        a, b, d = self._a, self._b, self._d
+        if not (a[0] or b[0]):
             raise NonUnitError("series with vanishing constant term is not a unit")
-        inv0 = c0.inverse()
-        out = [inv0]
-        for k in range(1, self.order):
-            acc = Scalar.zero()
-            for i in range(1, k + 1):
-                if not self.coeffs[i].is_zero():
-                    acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-acc * inv0)
-        return TruncatedSeries(tuple(out))
+        T = len(a)
+        # s = (a + b s2)/d times its conjugate (a - b s2)/d is n/d^2 with n
+        # rational, so 1/s = d (a - b s2) (1/n)
+        n = [0] * T
+        for i in range(T):
+            x, y = a[i], 2 * b[i]
+            for j in range(T - i):
+                n[i + j] += x * a[j] - y * b[j]
+        # 1/n = w / n0^T in integers: n0 w_0 = n0^T, and the coefficients of
+        # n * w past the constant vanish, n0 w_k = -(n_1 w_(k-1) + ... + n_k w_0),
+        # a division that is exact since each w_k is n0^(T-1-k) times an integer
+        n0 = n[0]
+        w = [n0 ** (T - 1)]
+        for k in range(1, T):
+            w.append(-sum(n[i] * w[k - i] for i in range(1, k + 1)) // n0)
+        A = [0] * T
+        B = [0] * T
+        for i in range(T):
+            x, y = d * a[i], -d * b[i]
+            for j in range(T - i):
+                A[i + j] += x * w[j]
+                B[i + j] += y * w[j]
+        return _series(A, B, n0**T)
 
     def div_zeta(self) -> "TruncatedSeries":
         """Exact division by zeta for series with vanishing constant term.
@@ -294,9 +412,9 @@ class TruncatedSeries:
         coefficient is genuinely lost by truncation, but zeta * r == self
         holds exactly at order T again regardless of the choice.
         """
-        if not self.coeffs[0].is_zero():
+        if self._a[0] or self._b[0]:
             raise NonUnitError("constant term must vanish for exact zeta division")
-        return TruncatedSeries(self.coeffs[1:] + (Scalar.zero(),))
+        return _series(self._a[1:] + (0,), self._b[1:] + (0,), self._d)
 
     # serialization
 

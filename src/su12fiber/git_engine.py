@@ -160,6 +160,9 @@ def affine_chart(
 
 def composition_count(total: int, cap: int, length: int) -> int:
     """Number of integer vectors of the given length in [0, cap] summing to total."""
+    # v -> cap - v pairs the vectors summing to total with those summing to
+    # cap * length - total; the table needs only the smaller of the two sums
+    total = min(total, cap * length - total)
     if total < 0:
         return 0
     counts = [1] + [0] * total
@@ -237,7 +240,18 @@ def bruteforce_search(
     # stop summing at the first power that overflows the budget: a huge
     # r_max must be refused without counting every power up to it
     space = 0
+    free = min(lin.n, lin.N - lin.n)
     for r in range(1, r_max + 1):
+        # each of the (cap + 1)^free prefixes in [0, cap]^free extends to a
+        # balanced vector: a lower bound that refuses a large N before the
+        # exact count, whose cost grows like N^3.  As cap + 1 >= 2, capping
+        # the exponent at budget.bit_length() changes no verdict
+        floor = (lin.N * r + 1) ** min(free, budget.bit_length())
+        if space + floor > budget:
+            raise SearchSpaceError(
+                f"enumeration of at least {space + floor} balanced exponent "
+                f"vectors up to power r = {r} exceeds budget {budget}"
+            )
         space += composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
         if space > budget:
             raise SearchSpaceError(

@@ -4,13 +4,18 @@ Most tests call cli.main in-process; a fresh interpreter is used where the
 interpreter itself matters (python -O, python -m, a hard timeout).
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su12fiber import cli
 from su12fiber.configuration import (
@@ -232,7 +237,7 @@ def test_git_classify_rejects_missing_file(capsys):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("t", ["1/0", 5])
+@pytest.mark.parametrize("t", ["1/0", 5, "1e5000", "1.5", "1e3"])
 def test_git_classify_rejects_malformed_coordinate(tmp_path, capsys, t):
     path = tmp_path / "c.json"
     path.write_text(json.dumps([{"base": "L0", "points": ["zero", {"t": t}, {"t": "2"}, "inf"]}]))
@@ -254,6 +259,78 @@ def test_git_classify_refuses_huge_rmax_before_counting(tmp_path):
     )
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.startswith("error: ") and "exceeds budget" in result.stderr
+
+
+@pytest.mark.parametrize("degree", ["0", "98"])
+def test_git_classify_refuses_large_genus_before_counting(tmp_path, degree):
+    # (N r + 1)^min(n, N - n) bounds the search space from below, so 396
+    # slots are refused without the exact count, which grows like N^3; at
+    # degree 98 (n = N - 2) that floor is small, and the exact count runs
+    # on the complementary sum 2N instead of N(N - 2)
+    N = 396
+    points = [Z] + [F(k) for k in range(1, N - 1)] + [I]
+    path = write_configs(tmp_path / "c.json", [Configuration.of("L0", points)])
+    result = run_python(
+        "-c", CLI_SCRIPT.format(""),
+        "git-classify", "--genus", "100", "--degree", degree, "--input", path,
+        timeout=5,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "exceeds budget" in result.stderr and "r = 1 " in result.stderr
+
+
+def test_git_classify_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ODD_LITERALS = [
+    "0", "-0", "1/2", "1/0", "1.5", "1e3", "1e5000", "NaN", "inf", "sqrt2",
+    "1/2+1/3*sqrt2", "1/2-1/3*sqrt2", "-1/3*sqrt2", "1/2+-1/3*sqrt2", " 3 / 4 ",
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["zero", "inf", "L0", *ODD_LITERALS]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["base", "points", "t"]) | st.text(max_size=3), inner,
+                      max_size=4),
+    max_leaves=16,
+)
+literals = st.sampled_from(ODD_LITERALS) | st.text(alphabet="0123456789+-/*.e sqrt", max_size=12)
+points = (
+    st.sampled_from(["zero", "inf"]) | st.fixed_dictionaries({"t": literals})
+    | st.fixed_dictionaries({"t": json_values}) | json_values
+)
+# genus 2 has four slots, so four points reach the classifier and the report
+configs = st.fixed_dictionaries(
+    {
+        "base": st.just("L0") | json_values,
+        "points": st.lists(points, min_size=4, max_size=4) | st.lists(points, max_size=6)
+        | json_values,
+    }
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(configs | json_values, max_size=3) | json_values)
+def test_git_classify_random_json_exits_cleanly(document):
+    # any JSON document ends in a report, a one-line error or a check
+    # failure; an exception escaping cli.main fails the test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(document))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["git-classify", "--genus", "2", "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_git_classify_rejects_out_of_range_degree(tmp_path, capsys):

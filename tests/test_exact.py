@@ -98,6 +98,10 @@ def test_scalar_parse_forms():
         Scalar.parse("1/2+1/0*sqrt2")
     with pytest.raises(ValueError):
         Scalar.parse(5)
+    # only the README grammar: no decimals, exponents or bare sqrt2
+    for text in ("1.5", "1e3", "1e5000", "1/2+1e2*sqrt2", "sqrt2", "1/2+-1/3*sqrt2", "nan"):
+        with pytest.raises(ValueError):
+            Scalar.parse(text)
 
 
 # truncated series

@@ -99,11 +99,21 @@ def test_classify_closed_form():
 
 
 def test_composition_count_matches_enumeration():
-    for total, cap, length in [(8, 4, 4), (5, 2, 4), (0, 3, 3), (7, 7, 2)]:
+    for total, cap, length in [(8, 4, 4), (5, 2, 4), (0, 3, 3), (7, 7, 2), (10, 4, 3)]:
         assert composition_count(total, cap, length) == sum(
             1 for _ in bounded_compositions(total, cap, length)
         )
     assert composition_count(9, 2, 3) == 0
+
+
+def test_search_floor_bounds_the_balanced_count():
+    # the budget pre-check refuses on (N r + 1)^min(n, N - n) before the
+    # exact count, which is only sound if that power never exceeds it
+    for N in range(1, 9):
+        for n in range(N + 1):
+            for r in (1, 2):
+                floor = (N * r + 1) ** min(n, N - n)
+                assert floor <= composition_count(N * r * n, N * r, N)
 
 
 def test_bounded_compositions_bounds():
