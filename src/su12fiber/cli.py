@@ -46,6 +46,13 @@ from .stability import (
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
+# the largest requests accepted, refused before any work: census at genus
+# 100 writes about 24 MB in about 2 s, and the local-model suite at order
+# 32 with 500 cases runs for about 17 s
+MAX_GENUS = 100
+MAX_TRUNCATION = 32
+MAX_CASES = 500
+
 
 class _UsageError(Exception):
     pass
@@ -131,6 +138,12 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequenc
     return buf.getvalue()
 
 
+def _bounded_moduli(args: argparse.Namespace) -> ModuliParams:
+    if args.genus > MAX_GENUS:
+        raise _UsageError(f"--genus must be <= {MAX_GENUS}, got {args.genus}")
+    return ModuliParams(args.genus, args.degree)
+
+
 def _warn_degree(p: ModuliParams) -> None:
     if not milnor_wood_admits_stable(p.g, p.d):
         sys.stderr.write(
@@ -152,7 +165,7 @@ def _inequality(label: str, lhs: int, op: str, bound_name: str, rhs: int) -> dic
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
-    p = ModuliParams(args.genus, args.degree)
+    p = _bounded_moduli(args)
     d_beta, d_gamma = args.dbeta, args.dgamma
     if d_beta < 0 or d_gamma < 0 or d_beta + d_gamma > p.N:
         raise _UsageError(
@@ -199,7 +212,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    p = ModuliParams(args.genus, args.degree)
+    p = _bounded_moduli(args)
     _warn_degree(p)
     result = census(p)
     totals = {cls.value: result.class_total(cls) for cls in StabilityClass}
@@ -340,8 +353,12 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
 def _cmd_local_verify(args: argparse.Namespace) -> int:
     if args.truncation < 2:
         raise _UsageError("--truncation must be >= 2")
+    if args.truncation > MAX_TRUNCATION:
+        raise _UsageError(f"--truncation must be <= {MAX_TRUNCATION}, got {args.truncation}")
     if args.cases < 1:
         raise _UsageError("--cases must be >= 1")
+    if args.cases > MAX_CASES:
+        raise _UsageError(f"--cases must be <= {MAX_CASES}, got {args.cases}")
     report = local_model.verification_suite(args.truncation, args.seed, args.cases)
     if args.format == "json":
         _emit(_json_text({"command": "local-model-verify", **report}), args.output)

@@ -42,6 +42,15 @@ def _as_fraction(x: Union[int, Fraction]) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _operand(x: object) -> "Scalar | None":
+    """x as a Scalar if it is a ScalarLike, else None."""
+    if isinstance(x, Scalar):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Scalar(x)
+    return None
+
+
 def _scalar(a: int, b: int, d: int) -> "Scalar":
     """The scalar (a + b*sqrt2) / d for d != 0, brought to lowest terms."""
     g = gcd(a, b, d)
@@ -62,6 +71,18 @@ _LITERAL = re.compile(
     rf"(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>[0-9]+(?:/[0-9]+)?)\*sqrt2)?"
     rf"|(?P<b_alone>{_RATIONAL})\*sqrt2"
 )
+
+
+# Python refuses to print an int of more than 4300 digits (its default
+# int_max_str_digits).  Reports print parsed coordinates and ratios t/t0 of
+# two of them (the S-equivalence representative).  Write a literal
+# p/q + r/s*sqrt2 of at most L characters as (P + R*sqrt2)/Q with P = p*s,
+# R = r*q, Q = q*s: the four integers have at most L digits together, so
+# P, R, Q < 10^L.  Then
+#   t/t0 = Q0 * ((P*P0 - 2*R*R0) + (R*P0 - P*R0)*sqrt2) / (Q * (P0^2 - 2*R0^2))
+# has numerators and denominator below 3 * 10^(3L), at most 3L + 1 digits
+# before reduction, which only shrinks them; 3L + 1 <= 4300 gives the cap
+MAX_LITERAL_LENGTH = (4300 - 1) // 3
 
 
 class Scalar:
@@ -125,8 +146,13 @@ class Scalar:
     def __hash__(self) -> int:
         return hash((self.a, self.b))
 
+    # the binary operations return NotImplemented for an operand that is
+    # not a ScalarLike, so that a series on the other side can take over
+
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        o = other if other.__class__ is Scalar else _operand(other)
+        if o is None:
+            return NotImplemented
         d, e = self._d, o._d
         return _scalar(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
@@ -136,13 +162,21 @@ class Scalar:
         return _scalar(-self._a, -self._b, self._d)
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self + (-Scalar.of(other))
+        o = other if other.__class__ is Scalar else _operand(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.of(other) + (-self)
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
+        o = other if other.__class__ is Scalar else _operand(other)
+        if o is None:
+            return NotImplemented
         a, b, c, e = self._a, self._b, o._a, o._b
         # (a + b s)(c + e s) = ac + 2be + (ae + bc) s  with s^2 = 2
         return _scalar(a * c + 2 * b * e, a * e + b * c, self._d * o._d)
@@ -178,14 +212,18 @@ class Scalar:
         """Parse "p/q" or "p/q+r/s*sqrt2" (also "-r/s*sqrt2", integer parts).
 
         Spaces are ignored.  Anything else, including a non-string, a
-        decimal or exponent literal, or a zero denominator, raises
-        ValueError.
+        decimal or exponent literal, a zero denominator, or a literal
+        longer than MAX_LITERAL_LENGTH characters, raises ValueError.
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar literal must be a string, got {text!r}")
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty scalar literal")
+        if len(s) > MAX_LITERAL_LENGTH:
+            raise ValueError(
+                f"scalar literal of {len(s)} characters exceeds {MAX_LITERAL_LENGTH}"
+            )
         m = _LITERAL.fullmatch(s)
         if m is None:
             raise ValueError(f"malformed scalar literal: {text!r}")

@@ -16,13 +16,21 @@ Two independent classifiers are kept deliberately separate:
 
   classify_closed_form   the mark-count inequalities (n_zero vs n,
                          n_inf vs N - n),
-  classify_bruteforce    exhaustive enumeration of balanced exponent
-                         vectors, semistability by witness, stability by
-                         a witness with an interior exponent
-                         0 < m_j < N*r (the closed-orbit criterion)
-                         at a non-fixed configuration.
+  classify_bruteforce    invariant-monomial search: semistability by a
+                         nonvanishing balanced witness, stability by a
+                         witness with an interior exponent 0 < m_j < N*r
+                         (the closed-orbit criterion) at a non-fixed
+                         configuration.
 
 They must agree everywhere; the test suite and the CLI check that they do.
+
+The search never enumerates the whole space of balanced vectors.  Since a
+witness must be nonvanishing, it lives on the face where the [0:1] slots
+sit at N*r and the [1:0] slots at 0; only the remaining free slots vary,
+and the search walks them in lexicographic order.  The report still gives
+the position of the stable witness in the lexicographic sweep of all
+balanced vectors (monomials_enumerated), computed as a rank from
+composition counts.
 """
 
 from __future__ import annotations
@@ -179,7 +187,11 @@ def composition_count(total: int, cap: int, length: int) -> int:
 
 
 def bounded_compositions(total: int, cap: int, length: int) -> Iterator[MonomialIndex]:
-    """All vectors in [0, cap]^length with the given sum, lexicographic order."""
+    """All vectors in [0, cap]^length with the given sum, lexicographic order.
+
+    This is the sweep whose positions monomials_enumerated reports; the
+    search itself walks only the face and never calls it.
+    """
     if length == 0:
         if total == 0:
             yield ()
@@ -205,9 +217,43 @@ def bounded_compositions(total: int, cap: int, length: int) -> Iterator[Monomial
     yield from fill(0, total)
 
 
-# admits the largest honest sweep (N = 8, r = 1, middle weight: 2.3e6
-# balanced vectors, a few seconds) and rejects N = 8 with r_max = 2
-# (2e8 vectors) before any work happens
+def _lex_rank(m: Sequence[int], cap: int) -> int:
+    """Number of vectors in [0, cap]^len(m) with sum(m) lexicographically before m."""
+    rank = 0
+    remaining = sum(m)
+    for i, mi in enumerate(m):
+        # every vector agreeing with m before slot i and smaller at slot i
+        for v in range(mi):
+            rank += composition_count(remaining - v, cap, len(m) - i - 1)
+        remaining -= mi
+    return rank
+
+
+def _pack_right(v: list[int], start: int, total: int, cap: int) -> None:
+    """Set v[start:] to its lexicographically first value in [0, cap] summing
+    to total: caps packed to the right."""
+    for k in range(len(v) - 1, start - 1, -1):
+        v[k] = min(cap, total)
+        total -= v[k]
+
+
+def _lex_successor(v: list[int], cap: int) -> bool:
+    """Advance v in place to the next vector in [0, cap]^len(v) with the same
+    sum, in lexicographic order; False when v is already the last one."""
+    suffix = 0
+    for i in range(len(v) - 1, -1, -1):
+        if v[i] < cap and suffix > 0:
+            v[i] += 1
+            _pack_right(v, i + 1, suffix - 1, cap)
+            return True
+        suffix += v[i]
+    return False
+
+
+# bounds the length of the reported sweep, monomials_enumerated, not the
+# work: the face search costs microseconds whatever the count.  It admits
+# N = 8, r = 1 at middle weight (2.3e6 balanced vectors) and refuses
+# N = 8 with r_max = 2 (2e8 vectors)
 DEFAULT_SEARCH_BUDGET = 4_000_000
 
 
@@ -226,12 +272,40 @@ def bruteforce_search(
     r_max: int = 1,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> BruteForceOutcome:
-    """Exhaustive invariant-monomial search, sweeping powers r = 1..r_max.
+    """Invariant-monomial search, sweeping powers r = 1..r_max.
 
     Semistable iff some balanced exponent vector is nonvanishing at c.
     Stable iff additionally some such witness keeps an interior exponent
     (so the top and bottom saturated sets do not cover all slots) and c
-    itself is not fixed by the torus.  Witnesses are reported as (r, m).
+    itself is not fixed by the torus.  Witnesses are reported as (r, m):
+    the semistable one is the lexicographically first nonvanishing
+    balanced vector, the stable one the first with an interior exponent.
+
+    The search stays independent of classify_closed_form.  Nonvanishing
+    alone fixes every [0:1] slot at cap = N*r and every [1:0] slot at 0,
+    so the nonvanishing balanced vectors are exactly the face
+
+        {m : m_j = cap on [0:1] slots, m_j = 0 on [1:0] slots,
+             the free slots in [0, cap] summing to rest},
+
+    rest = N*r*n - cap * #[0:1].  The face is empty exactly when no free
+    vector in [0, cap]^free sums to rest, that is when rest lies outside
+    [0, cap * #free]; that is a statement about the pinned exponents, not
+    a mark-count inequality.  The pinned slots are constant on the face,
+    so the lexicographic order of the full vectors restricted to it is
+    the lexicographic order of the free slots, and walking them in that
+    order visits the witnesses the full sweep would meet first.  Pinned
+    exponents are never interior, so a witness is stable iff a free slot
+    is interior.  The first face vector packs caps to the right; if it
+    has no interior slot, the second moves one unit left and leaves
+    1 and cap - 1 behind, so for cap >= 2 the walk stops within two face
+    vectors.
+
+    monomials_enumerated is the number of balanced vectors the full
+    lexicographic sweep over r = 1, 2, ... visits up to and including the
+    stable witness: the full counts of the earlier powers plus the rank
+    of the witness plus one; with no stable witness, the full count up to
+    r_max.  The budget check refuses on that full count.
     """
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
@@ -241,6 +315,7 @@ def bruteforce_search(
     # r_max must be refused without counting every power up to it
     space = 0
     free = min(lin.n, lin.N - lin.n)
+    counts = []
     for r in range(1, r_max + 1):
         # each of the (cap + 1)^free prefixes in [0, cap]^free extends to a
         # balanced vector: a lower bound that refuses a large N before the
@@ -252,38 +327,41 @@ def bruteforce_search(
                 f"enumeration of at least {space + floor} balanced exponent "
                 f"vectors up to power r = {r} exceeds budget {budget}"
             )
-        space += composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
+        counts.append(composition_count(lin.N * r * lin.n, lin.N * r, lin.N))
+        space += counts[-1]
         if space > budget:
             raise SearchSpaceError(
                 f"enumeration of {space} balanced exponent vectors up to power "
                 f"r = {r} exceeds budget {budget}"
             )
 
-    fixed = all(not p.is_finite() for p in c.points)
-    marks = mark_data(c)
-    zero_slots = tuple(marks.zero_slots)
-    inf_slots = tuple(marks.infinity_slots)
+    n_zero = sum(1 for p in c.points if p.is_zero())
+    free_slots = [j for j, p in enumerate(c.points) if p.is_finite()]
+    fixed = not free_slots
     semistable_witness: Optional[tuple[int, MonomialIndex]] = None
     stable_witness: Optional[tuple[int, MonomialIndex]] = None
     enumerated = 0
-    for r in range(1, r_max + 1):
-        lin_r = Linearization(lin.n, lin.N, r)
-        cap = lin_r.cap
-        # the enumerator only emits in-bounds balanced vectors, so the
-        # per-vector work is exactly the nonvanishing subset test
-        for m in bounded_compositions(lin_r.target, cap, lin_r.N):
-            enumerated += 1
-            if not all(m[j] == cap for j in zero_slots):
-                continue
-            if not all(m[j] == 0 for j in inf_slots):
-                continue
-            if semistable_witness is None:
-                semistable_witness = (r, m)
-            if any(0 < mj < cap for mj in m):
-                stable_witness = (r, m)
-                break
+    for r, count in enumerate(counts, start=1):
+        cap = lin.N * r
+        rest = lin.N * r * lin.n - cap * n_zero
+        if 0 <= rest <= cap * len(free_slots):
+            m = [cap if p.is_zero() else 0 for p in c.points]
+            v = [0] * len(free_slots)
+            _pack_right(v, 0, rest, cap)
+            while True:
+                for j, vj in zip(free_slots, v):
+                    m[j] = vj
+                if semistable_witness is None:
+                    semistable_witness = (r, tuple(m))
+                if any(0 < vj < cap for vj in v):
+                    stable_witness = (r, tuple(m))
+                    break
+                if not _lex_successor(v, cap):
+                    break
         if stable_witness is not None:
+            enumerated += _lex_rank(stable_witness[1], cap) + 1
             break
+        enumerated += count
 
     if stable_witness is not None and not fixed:
         cls = GitClass.STABLE

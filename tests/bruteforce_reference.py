@@ -1,0 +1,99 @@
+"""Test-only reference: the full sweep of git_engine.bruteforce_search.
+
+This is the search `su12fiber.git_engine` ran before it moved to the face
+cut out by the marks.  It walks every balanced exponent vector of every
+power in lexicographic order through `bounded_compositions`, filters by
+nonvanishing afterwards and counts each vector it visits, so it shares no
+face, rank or successor code with the package.  test_git_engine.py
+requires the package search to return the same BruteForceOutcome.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from su12fiber.configuration import Configuration, mark_data
+from su12fiber.errors import LengthMismatchError, SearchSpaceError
+from su12fiber.git_engine import (
+    DEFAULT_SEARCH_BUDGET,
+    BruteForceOutcome,
+    GitClass,
+    Linearization,
+    MonomialIndex,
+    bounded_compositions,
+    composition_count,
+)
+
+
+def bruteforce_search(
+    c: Configuration,
+    lin: Linearization,
+    r_max: int = 1,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> BruteForceOutcome:
+    """Exhaustive invariant-monomial search, sweeping powers r = 1..r_max.
+
+    Semistable iff some balanced exponent vector is nonvanishing at c.
+    Stable iff additionally some such witness keeps an interior exponent
+    (so the top and bottom saturated sets do not cover all slots) and c
+    itself is not fixed by the torus.  Witnesses are reported as (r, m).
+    """
+    if c.size != lin.N:
+        raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
+    if r_max < 1:
+        raise ValueError(f"r_max must be >= 1, got {r_max}")
+    # stop summing at the first power that overflows the budget: a huge
+    # r_max must be refused without counting every power up to it
+    space = 0
+    free = min(lin.n, lin.N - lin.n)
+    for r in range(1, r_max + 1):
+        # each of the (cap + 1)^free prefixes in [0, cap]^free extends to a
+        # balanced vector: a lower bound that refuses a large N before the
+        # exact count, whose cost grows like N^3.  As cap + 1 >= 2, capping
+        # the exponent at budget.bit_length() changes no verdict
+        floor = (lin.N * r + 1) ** min(free, budget.bit_length())
+        if space + floor > budget:
+            raise SearchSpaceError(
+                f"enumeration of at least {space + floor} balanced exponent "
+                f"vectors up to power r = {r} exceeds budget {budget}"
+            )
+        space += composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
+        if space > budget:
+            raise SearchSpaceError(
+                f"enumeration of {space} balanced exponent vectors up to power "
+                f"r = {r} exceeds budget {budget}"
+            )
+
+    fixed = all(not p.is_finite() for p in c.points)
+    marks = mark_data(c)
+    zero_slots = tuple(marks.zero_slots)
+    inf_slots = tuple(marks.infinity_slots)
+    semistable_witness: Optional[tuple[int, MonomialIndex]] = None
+    stable_witness: Optional[tuple[int, MonomialIndex]] = None
+    enumerated = 0
+    for r in range(1, r_max + 1):
+        lin_r = Linearization(lin.n, lin.N, r)
+        cap = lin_r.cap
+        # the enumerator only emits in-bounds balanced vectors, so the
+        # per-vector work is exactly the nonvanishing subset test
+        for m in bounded_compositions(lin_r.target, cap, lin_r.N):
+            enumerated += 1
+            if not all(m[j] == cap for j in zero_slots):
+                continue
+            if not all(m[j] == 0 for j in inf_slots):
+                continue
+            if semistable_witness is None:
+                semistable_witness = (r, m)
+            if any(0 < mj < cap for mj in m):
+                stable_witness = (r, m)
+                break
+        if stable_witness is not None:
+            break
+
+    if stable_witness is not None and not fixed:
+        cls = GitClass.STABLE
+    elif semistable_witness is not None:
+        cls = GitClass.STRICTLY_SEMISTABLE
+    else:
+        cls = GitClass.UNSTABLE
+    return BruteForceOutcome(cls, semistable_witness, stable_witness, enumerated, fixed)

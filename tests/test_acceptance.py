@@ -23,10 +23,15 @@ from su12fiber.exact import DEFAULT_ORDER, Scalar
 from su12fiber.git_engine import (
     GitClass,
     Linearization,
+    bruteforce_search,
     classify_bruteforce,
     classify_closed_form,
+    composition_count,
     git_class_of_stability,
+    is_invariant,
+    monomial_nonvanishing,
     s_equivalence_representative,
+    saturated_slots,
 )
 from su12fiber.stability import ModuliParams, StabilityClass, census, classify_partition
 
@@ -244,6 +249,62 @@ def test_criterion_8_scaling_invariance():
         "scaling invariance of all classifiers",
         not failures,
         "81 patterns x 100 random scalings, plus brute-force spot checks"
+        if not failures
+        else f"failures={failures[:3]}",
+    )
+
+
+def test_criterion_9_face_search_at_genus_4():
+    # N = 12 slots with n = 6: the full sweep has about 7.1e11 vectors at
+    # r = 1, past DEFAULT_SEARCH_BUDGET, so the budget is the full count
+    p = ModuliParams(4, 0)
+    lin = Linearization.for_moduli(p)
+    assert (lin.N, lin.n) == (12, 6)
+    rng = Random(909)
+    failures = []
+    checked = 0
+    for r_max in (1, 2):
+        budget = sum(
+            composition_count(lin.N * r * lin.n, lin.N * r, lin.N) for r in range(1, r_max + 1)
+        )
+        for n_zero in range(lin.N + 1):
+            for n_inf in range(lin.N + 1 - n_zero):
+                pattern = ["z"] * n_zero + ["i"] * n_inf + ["f"] * (lin.N - n_zero - n_inf)
+                rng.shuffle(pattern)
+                c = _config_from_pattern(pattern, rng)
+                outcome = bruteforce_search(c, lin, r_max, budget)
+                expected = classify_closed_form(c, lin)
+                checked += 1
+                if outcome.git_class is not expected:
+                    failures.append((pattern, r_max, expected, outcome.git_class))
+                if (outcome.semistable_witness is None) != (expected is GitClass.UNSTABLE):
+                    failures.append((pattern, r_max, "semistable witness"))
+                if expected is GitClass.STABLE and outcome.stable_witness is None:
+                    failures.append((pattern, r_max, "stable witness"))
+                if not 1 <= outcome.monomials_enumerated <= budget:
+                    failures.append((pattern, r_max, outcome.monomials_enumerated))
+                for kind, witness in (
+                    ("semistable", outcome.semistable_witness),
+                    ("stable", outcome.stable_witness),
+                ):
+                    if witness is None:
+                        continue
+                    r, m = witness
+                    lin_r = Linearization(lin.n, lin.N, r)
+                    top, bottom = saturated_slots(m, lin_r)
+                    interior = lin.N - len(top) - len(bottom)
+                    if not (
+                        1 <= r <= r_max
+                        and is_invariant(m, lin_r)
+                        and monomial_nonvanishing(m, c, lin_r)
+                        and (kind == "semistable" or interior > 0)
+                    ):
+                        failures.append((pattern, r_max, kind, witness))
+    _report(
+        9,
+        "face search at genus 4",
+        not failures,
+        f"{checked} mark patterns on 12 slots, r_max 1 and 2, agree with the closed form"
         if not failures
         else f"failures={failures[:3]}",
     )

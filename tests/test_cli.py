@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,7 +26,7 @@ from su12fiber.configuration import (
     config_from_json,
     config_to_json,
 )
-from su12fiber.exact import Scalar
+from su12fiber.exact import MAX_LITERAL_LENGTH, Scalar
 from su12fiber.git_engine import GitClass
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -280,6 +282,51 @@ def test_git_classify_refuses_large_genus_before_counting(tmp_path, degree):
     assert "exceeds budget" in result.stderr and "r = 1 " in result.stderr
 
 
+def literals_of_length(length, rng):
+    """Worst cases for the printed ratios t/t0 and random four-part literals."""
+    def digits(k):
+        return str(rng.randint(10 ** (k - 1), 10**k - 1))
+
+    tail = "+1*sqrt2"
+    head = digits(length - len(tail)) + tail  # t0 = P + sqrt2, norm P^2 - 2
+    inverse = "1/" + digits(length - 2)
+    k = (length - len("/+/*sqrt2")) // 4
+    mixed = f"{digits(k)}/{digits(k)}+{digits(k)}/{digits(length - 9 - 3 * k)}*sqrt2"
+    assert {len(head), len(inverse), len(mixed)} == {length}
+    return head, inverse, mixed
+
+
+def literal_file(path, head, inverse, mixed):
+    configs = [
+        {"base": "L0", "points": [{"t": head}, {"t": inverse}, {"t": mixed}, {"t": inverse}]},
+        {"base": "L0", "points": [{"t": mixed}, {"t": head}, {"t": inverse}, {"t": mixed}]},
+        {"base": "L0", "points": ["zero", {"t": head}, {"t": mixed}, "inf"]},
+    ]
+    path.write_text(json.dumps(configs))
+    return str(path)
+
+
+def test_git_classify_prints_literals_at_the_length_cap(tmp_path, capsys):
+    # every finite slot at the cap: each printed ratio stays within the
+    # 4300 digits Python converts, and the worst case comes close to it
+    rng = random.Random(4300)
+    path = literal_file(tmp_path / "c.json", *literals_of_length(MAX_LITERAL_LENGTH, rng))
+    code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", path)
+    assert code == 0 and err == ""
+    longest = max(len(run_) for run_ in re.findall("[0-9]+", out))
+    assert 4200 < longest <= 4300
+
+
+def test_git_classify_rejects_a_literal_past_the_length_cap(tmp_path, capsys):
+    rng = random.Random(4301)
+    head, inverse, mixed = literals_of_length(MAX_LITERAL_LENGTH, rng)
+    path = literal_file(tmp_path / "c.json", head, "1" + inverse, mixed)
+    code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}[0]: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 def test_git_classify_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -397,6 +444,44 @@ def test_local_verify_catches_planted_fault_under_optimize():
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["hecke_round_trip"]
     assert failed[0]["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--genus", "101"),
+        ("census", "--genus", "300", "--format", "csv"),
+        ("stability", "--genus", "101", "--dbeta", "1", "--dgamma", "1"),
+        ("local-model-verify", "--truncation", "33"),
+        ("local-model-verify", "--truncation", "10000", "--cases", "1"),
+        ("local-model-verify", "--cases", "501"),
+        ("local-model-verify", "--cases", "10000000", "--truncation", "2"),
+    ],
+    ids=lambda argv: "_".join(argv).replace("--", ""),
+)
+def test_oversize_requests_are_refused_before_work(argv):
+    result = run_python("-m", "su12fiber", *argv, timeout=10)
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "must be <=" in result.stderr
+
+
+def test_size_bounds_admit_their_limits(capsys, monkeypatch):
+    code, payload, _ = run_json(
+        capsys, "stability", "--genus", str(cli.MAX_GENUS), "--dbeta", "1", "--dgamma", "1"
+    )
+    assert code == 0 and payload["genus"] == cli.MAX_GENUS
+    seen = []
+    monkeypatch.setattr(
+        "su12fiber.local_model.verification_suite",
+        lambda order, seed, cases: seen.append((order, cases)) or {
+            "order": order, "seed": seed, "cases": cases, "checks": [], "all_passed": True,
+        },
+    )
+    argv = ("local-model-verify", "--truncation", str(cli.MAX_TRUNCATION),
+            "--cases", str(cli.MAX_CASES))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and seen == [(cli.MAX_TRUNCATION, cli.MAX_CASES)]
 
 
 def test_local_verify_rejects_tiny_truncation(capsys):

@@ -142,6 +142,29 @@ def test_series_ring_ops_match_reference(data, order):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), orders)
+def test_scalar_with_series_matches_reference(data, order):
+    # a Scalar on the left hands a series operand over to the series; the
+    # reference lifts the scalar to a constant series instead
+    xn, xo = data.draw(series_pairs(order))
+    cn, co = data.draw(scalar_pairs())
+    c_old = ref.TruncatedSeries.constant(co, order)
+    assert_same_series(cn + xn, c_old + xo)
+    assert_same_series(cn - xn, c_old - xo)
+    assert_same_series(cn * xn, c_old * xo)
+
+
+def test_scalar_operators_defer_on_foreign_operands():
+    x = exact.Scalar(1, 1)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        assert getattr(x, op)("1") is NotImplemented
+    with pytest.raises(TypeError):
+        x * "1"
+    with pytest.raises(TypeError):
+        1.5 - x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), orders)
 def test_series_inverse_matches_reference(data, order):
     un, uo = data.draw(series_pairs(order, head="unit"))
     assert_same_series(un.inverse(), uo.inverse())

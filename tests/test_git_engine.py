@@ -25,6 +25,8 @@ from su12fiber.git_engine import (
 from su12fiber.stability import ModuliParams, StabilityClass, classify_partition
 from su12fiber.exact import Scalar
 
+from bruteforce_reference import bruteforce_search as full_sweep
+
 G2D0 = ModuliParams(2, 0)
 LIN = Linearization.for_moduli(G2D0)
 
@@ -207,6 +209,33 @@ def test_bruteforce_n8_spot():
         ]
         c = cfg(*points)
         assert classify_bruteforce(c, lin, r_max=1) is classify_closed_form(c, lin)
+
+
+def pattern_config(kinds):
+    return cfg(*[Z if k == "z" else I if k == "i" else F(j + 1) for j, k in enumerate(kinds)])
+
+
+def test_face_search_matches_full_sweep_small():
+    # every mark pattern on N <= 5 slots, every weight n, powers up to 2:
+    # same class, witnesses, fixed flag and sweep position
+    cases = 0
+    for N in range(1, 6):
+        for kinds in itertools.product("zif", repeat=N):
+            c = pattern_config(kinds)
+            for n in range(N + 1):
+                lin = Linearization(n, N)
+                for r_max in (1, 2):
+                    expected = full_sweep(c, lin, r_max)
+                    assert bruteforce_search(c, lin, r_max) == expected, (kinds, n, r_max)
+                    cases += 1
+    assert cases == 4008
+
+
+@pytest.mark.parametrize("kinds", ["zzffffii", "zzzzffff", "zzzzzfff"])
+def test_face_search_matches_full_sweep_n8(kinds):
+    lin = Linearization.for_moduli(ModuliParams(3, 0))  # N = 8, n = 4
+    c = pattern_config(kinds)
+    assert bruteforce_search(c, lin, r_max=1) == full_sweep(c, lin, r_max=1)
 
 
 def test_search_budget_guard():
