@@ -18,10 +18,11 @@ at |d| = g - 1 one of the strict bounds collapses to d_* < 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, NamedTuple
 
 from .errors import InvalidGenusError, LengthMismatchError
 
@@ -54,9 +55,10 @@ class ModuliParams:
     d: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.g, int) or self.g < 2:
+        # bool is an int subclass, but True is not a genus or a degree
+        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 2:
             raise InvalidGenusError(f"genus must be an integer >= 2, got {self.g!r}")
-        if not isinstance(self.d, int):
+        if not isinstance(self.d, int) or isinstance(self.d, bool):
             raise ValueError(f"degree must be an integer, got {self.d!r}")
 
     @property
@@ -168,8 +170,7 @@ def polystable_split_degrees(p: ModuliParams) -> tuple[int, int]:
     return deg1, deg2
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     d_beta: int
     d_gamma: int
     d_r: int
@@ -183,8 +184,15 @@ class CensusResult:
     params: ModuliParams
     rows: tuple[CensusRow, ...]
 
+    def class_totals(self) -> dict[StabilityClass, int]:
+        """Labeled count of every class, in one pass over runs of equal class."""
+        totals = dict.fromkeys(StabilityClass, 0)
+        for cls, run in groupby(self.rows, attrgetter("stability")):
+            totals[cls] += sum(map(attrgetter("labeled_count"), run))
+        return totals
+
     def class_total(self, cls: StabilityClass) -> int:
-        return sum(r.labeled_count for r in self.rows if r.stability is cls)
+        return self.class_totals()[cls]
 
     @property
     def stable_total(self) -> int:
@@ -201,14 +209,39 @@ def census(p: ModuliParams) -> CensusResult:
     Each cell carries the number of labeled partitions realizing it,
     the multinomial N! / (d_beta! d_gamma! d_r!), so the grand total is
     3^N.  Stable cells also carry the stratum dimension g + d_r.
+
+    The counts come from exact integer recurrences instead of binomials
+    per cell.  The first cell of row d_beta holds head = C(N, d_beta), with
+    head(d_beta + 1) = head(d_beta) * (N - d_beta) // (d_beta + 1); along the
+    row, count(d_gamma + 1) = count(d_gamma) * d_r // (d_gamma + 1), where d_r
+    belongs to the cell at d_gamma.  Both divisions are exact.
+
+    `classify_counts` sees d_gamma only through comparisons with
+    gamma_bound, so the class is constant on each of the ranges
+    [0, gamma_bound), {gamma_bound} and (gamma_bound, N - d_beta] of a row;
+    it is asked once per nonempty range, at the range's first cell.
     """
     N = p.N
+    g = p.g
+    gamma_bound = p.gamma_bound
+    stable = StabilityClass.STABLE
+    new_row = CensusRow._make  # from one tuple: about half the cost of CensusRow(...)
     rows = []
+    head = 1
     for d_beta in range(N + 1):
-        for d_gamma in range(N + 1 - d_beta):
-            d_r = N - d_beta - d_gamma
-            cls = classify_counts(p, d_beta, d_gamma)
-            count = math.comb(N, d_beta) * math.comb(N - d_beta, d_gamma)
-            dim = p.g + d_r if cls is StabilityClass.STABLE else None
-            rows.append(CensusRow(d_beta, d_gamma, d_r, cls, count, dim))
+        width = N + 1 - d_beta
+        cut = min(max(gamma_bound, 0), width)
+        cut_after = min(max(gamma_bound + 1, 0), width)
+        count = head
+        for start, stop in ((0, cut), (cut, cut_after), (cut_after, width)):
+            if start == stop:
+                continue
+            cls = classify_counts(p, d_beta, start)
+            is_stable = cls is stable
+            for d_gamma in range(start, stop):
+                d_r = N - d_beta - d_gamma
+                rows.append(new_row((d_beta, d_gamma, d_r, cls, count,
+                                     g + d_r if is_stable else None)))
+                count = count * d_r // (d_gamma + 1)
+        head = head * (N - d_beta) // (d_beta + 1)
     return CensusResult(p, tuple(rows))

@@ -47,6 +47,13 @@ def test_invalid_genus():
         ModuliParams(0, 0)
 
 
+@pytest.mark.parametrize("g, d", [(True, 0), (False, 0), (2, True), (2, False)])
+def test_bool_is_neither_genus_nor_degree(g, d):
+    error = InvalidGenusError if isinstance(g, bool) else ValueError
+    with pytest.raises(error, match="must be an integer"):
+        ModuliParams(g, d)
+
+
 def test_derived_parameters():
     assert G2D0.N == 4
     assert G2D0.n == 2
