@@ -49,7 +49,8 @@ CHECK_FAILURE = 2
 # the largest requests accepted, refused before any work: census at genus
 # 100 writes about 24 MB of JSON in about 0.5 s or 13 MB of CSV in 0.7 to
 # 0.9 s (interpreter start included), and the local-model suite at order
-# 32 with 500 cases runs for about 17 s
+# 32 with 500 cases runs for about 17 s.  The genus bound covers stability,
+# census and git-classify alike
 MAX_GENUS = 100
 MAX_TRUNCATION = 32
 MAX_CASES = 500
@@ -300,7 +301,7 @@ def _witness_json(witness) -> Optional[dict]:
 
 
 def _cmd_git_classify(args: argparse.Namespace) -> int:
-    p = ModuliParams(args.genus, args.degree)
+    p = _bounded_moduli(args)
     if not milnor_wood_admits_stable(p.g, p.d):
         raise _UsageError(
             f"degree {p.d} is outside the strict Milnor-Wood range for genus "
@@ -399,13 +400,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except (InvalidGenusError, LengthMismatchError, SearchSpaceError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except OSError as exc:
+    except (
+        _UsageError, InvalidGenusError, LengthMismatchError, SearchSpaceError, OSError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -30,13 +30,16 @@ sit at N*r and the [1:0] slots at 0; only the remaining free slots vary,
 and the search walks them in lexicographic order.  The report still gives
 the position of the stable witness in the lexicographic sweep of all
 balanced vectors (monomials_enumerated), computed as a rank from
-composition counts.
+composition counts.  Each count is a closed-form inclusion-exclusion sum
+of binomials, so neither the rank nor the budget check on the length of
+the sweep walks the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .configuration import Configuration, act, mark_data, saturate_limit
@@ -168,22 +171,19 @@ def affine_chart(
 
 def composition_count(total: int, cap: int, length: int) -> int:
     """Number of integer vectors of the given length in [0, cap] summing to total."""
-    # v -> cap - v pairs the vectors summing to total with those summing to
-    # cap * length - total; the table needs only the smaller of the two sums
-    total = min(total, cap * length - total)
-    if total < 0:
+    if length == 0:
+        return 1 if total == 0 else 0
+    if not 0 <= total <= cap * length:
         return 0
-    counts = [1] + [0] * total
-    for _ in range(length):
-        new = [0] * (total + 1)
-        window = 0
-        for t in range(total + 1):
-            window += counts[t]
-            if t > cap:
-                window -= counts[t - cap - 1]
-            new[t] = window
-        counts = new
-    return counts[total]
+    # v -> cap - v pairs the vectors summing to total with those summing to
+    # cap * length - total; the smaller of the two sums needs fewer terms
+    total = min(total, cap * length - total)
+    # inclusion-exclusion over the j slots forced above cap: each such set
+    # leaves total - j (cap + 1) spread freely over length slots
+    return sum(
+        (-1) ** j * comb(length, j) * comb(total - j * (cap + 1) + length - 1, length - 1)
+        for j in range(min(length, total // (cap + 1)) + 1)
+    )
 
 
 def bounded_compositions(total: int, cap: int, length: int) -> Iterator[MonomialIndex]:
@@ -305,33 +305,25 @@ def bruteforce_search(
     lexicographic sweep over r = 1, 2, ... visits up to and including the
     stable witness: the full counts of the earlier powers plus the rank
     of the witness plus one; with no stable witness, the full count up to
-    r_max.  The budget check refuses on that full count.
+    r_max.  The one budget check refuses on that full count, summed power
+    by power, at the first r where it passes the budget and before any
+    search; the refusal names r and the budget, not the count.
     """
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     # stop summing at the first power that overflows the budget: a huge
-    # r_max must be refused without counting every power up to it
+    # r_max must be refused without counting every power up to it.  The
+    # count can pass the 4300 digits Python prints, so the message omits it
     space = 0
-    free = min(lin.n, lin.N - lin.n)
     counts = []
     for r in range(1, r_max + 1):
-        # each of the (cap + 1)^free prefixes in [0, cap]^free extends to a
-        # balanced vector: a lower bound that refuses a large N before the
-        # exact count, whose cost grows like N^3.  As cap + 1 >= 2, capping
-        # the exponent at budget.bit_length() changes no verdict
-        floor = (lin.N * r + 1) ** min(free, budget.bit_length())
-        if space + floor > budget:
-            raise SearchSpaceError(
-                f"enumeration of at least {space + floor} balanced exponent "
-                f"vectors up to power r = {r} exceeds budget {budget}"
-            )
         counts.append(composition_count(lin.N * r * lin.n, lin.N * r, lin.N))
         space += counts[-1]
         if space > budget:
             raise SearchSpaceError(
-                f"enumeration of {space} balanced exponent vectors up to power "
+                f"enumeration of balanced exponent vectors up to power "
                 f"r = {r} exceeds budget {budget}"
             )
 

@@ -418,12 +418,6 @@ def random_series(rng: Random, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs([random_scalar(rng) for _ in range(order)], order)
 
 
-def random_unit_series(rng: Random, order: int) -> TruncatedSeries:
-    head = random_scalar(rng, nonzero=True)
-    tail = [random_scalar(rng) for _ in range(order - 1)]
-    return TruncatedSeries.from_coeffs([head] + tail, order)
-
-
 def random_unit_matrix(rng: Random, order: int) -> Mat2:
     while True:
         m = Mat2(

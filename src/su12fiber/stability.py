@@ -84,11 +84,11 @@ def milnor_wood_admits_stable(g: int, d: int) -> bool:
     """Whether stable objects can exist at all: |d| < g - 1.
 
     Semistable objects survive up to |d| <= g - 1; the strict inequality
-    is what every structural statement in this package assumes.
+    is what every structural statement in this package assumes.  The
+    genus and degree are validated as ModuliParams validates them.
     """
-    if not isinstance(g, int) or g < 2:
-        raise InvalidGenusError(f"genus must be an integer >= 2, got {g!r}")
-    return abs(d) < g - 1
+    p = ModuliParams(g, d)
+    return abs(p.d) < p.g - 1
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,11 @@ This is the search `su12fiber.git_engine` ran before it moved to the face
 cut out by the marks.  It walks every balanced exponent vector of every
 power in lexicographic order through `bounded_compositions`, filters by
 nonvanishing afterwards and counts each vector it visits, so it shares no
-face, rank or successor code with the package.  test_git_engine.py
-requires the package search to return the same BruteForceOutcome.
+face, rank or successor code with the package.  Its budget check counts
+with the dynamic-programming table the package used before its closed
+form, so the two routes share no counting code either.  test_git_engine.py
+requires the package search to return the same BruteForceOutcome, and the
+package composition_count to match the table.
 """
 
 from __future__ import annotations
@@ -21,8 +24,27 @@ from su12fiber.git_engine import (
     Linearization,
     MonomialIndex,
     bounded_compositions,
-    composition_count,
 )
+
+
+def composition_count(total: int, cap: int, length: int) -> int:
+    """Number of integer vectors of the given length in [0, cap] summing to total."""
+    # v -> cap - v pairs the vectors summing to total with those summing to
+    # cap * length - total; the table needs only the smaller of the two sums
+    total = min(total, cap * length - total)
+    if total < 0:
+        return 0
+    counts = [1] + [0] * total
+    for _ in range(length):
+        new = [0] * (total + 1)
+        window = 0
+        for t in range(total + 1):
+            window += counts[t]
+            if t > cap:
+                window -= counts[t - cap - 1]
+            new[t] = window
+        counts = new
+    return counts[total]
 
 
 def bruteforce_search(
@@ -45,22 +67,11 @@ def bruteforce_search(
     # stop summing at the first power that overflows the budget: a huge
     # r_max must be refused without counting every power up to it
     space = 0
-    free = min(lin.n, lin.N - lin.n)
     for r in range(1, r_max + 1):
-        # each of the (cap + 1)^free prefixes in [0, cap]^free extends to a
-        # balanced vector: a lower bound that refuses a large N before the
-        # exact count, whose cost grows like N^3.  As cap + 1 >= 2, capping
-        # the exponent at budget.bit_length() changes no verdict
-        floor = (lin.N * r + 1) ** min(free, budget.bit_length())
-        if space + floor > budget:
-            raise SearchSpaceError(
-                f"enumeration of at least {space + floor} balanced exponent "
-                f"vectors up to power r = {r} exceeds budget {budget}"
-            )
         space += composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
         if space > budget:
             raise SearchSpaceError(
-                f"enumeration of {space} balanced exponent vectors up to power "
+                f"enumeration of balanced exponent vectors up to power "
                 f"r = {r} exceeds budget {budget}"
             )
 

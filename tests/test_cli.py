@@ -249,8 +249,8 @@ def test_git_classify_rejects_malformed_coordinate(tmp_path, capsys, t):
 
 
 def test_git_classify_refuses_huge_rmax_before_counting(tmp_path):
-    # the budget pre-check stops at the first power that overflows it,
-    # so r_max = 2000 is refused as fast as r_max = 2
+    # the budget check stops at the first power that overflows it, so
+    # r_max = 2000 is refused at r = 2, as fast as r_max = 2
     path = write_configs(
         tmp_path / "c.json", [Configuration.of("L0", [Z, F(1), F(2), F(3), F(4), F(5), F(6), I])]
     )
@@ -260,15 +260,16 @@ def test_git_classify_refuses_huge_rmax_before_counting(tmp_path):
         timeout=10,
     )
     assert result.returncode == 1 and result.stdout == ""
-    assert result.stderr.startswith("error: ") and "exceeds budget" in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "exceeds budget" in result.stderr and "r = 2 " in result.stderr
 
 
 @pytest.mark.parametrize("degree", ["0", "98"])
 def test_git_classify_refuses_large_genus_before_counting(tmp_path, degree):
-    # (N r + 1)^min(n, N - n) bounds the search space from below, so 396
-    # slots are refused without the exact count, which grows like N^3; at
-    # degree 98 (n = N - 2) that floor is small, and the exact count runs
-    # on the complementary sum 2N instead of N(N - 2)
+    # the exact count at 396 slots is an inclusion-exclusion sum of at most
+    # min(n, N - n) + 1 binomials, so the budget refuses it in milliseconds;
+    # at degree 98 (n = N - 2) the count runs on the complementary sum 2N
+    # instead of N(N - 2)
     N = 396
     points = [Z] + [F(k) for k in range(1, N - 1)] + [I]
     path = write_configs(tmp_path / "c.json", [Configuration.of("L0", points)])
@@ -280,6 +281,19 @@ def test_git_classify_refuses_large_genus_before_counting(tmp_path, degree):
     assert result.returncode == 1 and result.stdout == ""
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "exceeds budget" in result.stderr and "r = 1 " in result.stderr
+
+
+@pytest.mark.parametrize("genus, rmax, power", [(3, "2", 2), (4, "1", 1)])
+def test_git_classify_refuses_at_the_first_power_over_budget(tmp_path, capsys, genus, rmax, power):
+    # genus 3 fits the budget at r = 1 and overflows it at r = 2; genus 4
+    # and up overflow it at r = 1
+    N = 4 * genus - 4
+    points = [Z] + [F(k) for k in range(1, N - 1)] + [I]
+    path = write_configs(tmp_path / "c.json", [Configuration.of("L0", points)])
+    code, out, err = run(capsys, "git-classify", "--genus", str(genus), "--rmax", rmax, "--input", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceeds budget" in err and f"r = {power} " in err
 
 
 def literals_of_length(length, rng):
@@ -452,6 +466,7 @@ def test_local_verify_catches_planted_fault_under_optimize():
         ("census", "--genus", "101"),
         ("census", "--genus", "300", "--format", "csv"),
         ("stability", "--genus", "101", "--dbeta", "1", "--dgamma", "1"),
+        ("git-classify", "--genus", "101", "--input", "no-such-configs.json"),
         ("local-model-verify", "--truncation", "33"),
         ("local-model-verify", "--truncation", "10000", "--cases", "1"),
         ("local-model-verify", "--cases", "501"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from su12fiber.stability import ModuliParams, StabilityClass, classify_partition
 from su12fiber.exact import Scalar
 
 from bruteforce_reference import bruteforce_search as full_sweep
+from bruteforce_reference import composition_count as table_count
 
 G2D0 = ModuliParams(2, 0)
 LIN = Linearization.for_moduli(G2D0)
@@ -101,21 +103,22 @@ def test_classify_closed_form():
 
 
 def test_composition_count_matches_enumeration():
-    for total, cap, length in [(8, 4, 4), (5, 2, 4), (0, 3, 3), (7, 7, 2), (10, 4, 3)]:
+    cases = [(8, 4, 4), (5, 2, 4), (0, 3, 3), (7, 7, 2), (10, 4, 3)]
+    cases += [(0, 3, 0), (1, 3, 0), (-1, 3, 0), (0, 0, 4), (1, 0, 4), (0, 0, 0)]
+    for total, cap, length in cases:
         assert composition_count(total, cap, length) == sum(
             1 for _ in bounded_compositions(total, cap, length)
         )
     assert composition_count(9, 2, 3) == 0
 
 
-def test_search_floor_bounds_the_balanced_count():
-    # the budget pre-check refuses on (N r + 1)^min(n, N - n) before the
-    # exact count, which is only sound if that power never exceeds it
-    for N in range(1, 9):
-        for n in range(N + 1):
-            for r in (1, 2):
-                floor = (N * r + 1) ** min(n, N - n)
-                assert floor <= composition_count(N * r * n, N * r, N)
+@given(st.integers(0, 12), st.integers(0, 12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_composition_count_matches_table(length, cap, data):
+    # the closed form against the dynamic-programming table it replaced,
+    # including totals just outside [0, cap * length]
+    total = data.draw(st.integers(-2, cap * length + 2))
+    assert composition_count(total, cap, length) == table_count(total, cap, length)
 
 
 def test_bounded_compositions_bounds():
@@ -241,6 +244,17 @@ def test_face_search_matches_full_sweep_n8(kinds):
 def test_search_budget_guard():
     with pytest.raises(SearchSpaceError):
         bruteforce_search(cfg(Z, F(1), F(2), I), LIN, r_max=2, budget=10)
+
+
+def test_search_budget_refuses_a_count_too_long_to_print():
+    # at N = 1600, n = 800 the balanced count has more than the 4300 digits
+    # Python converts to text; the refusal must not try to print it
+    N = 1600
+    c = cfg(*([Z] + [F(k) for k in range(1, N - 1)] + [I]))
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceError, match=r"up to power r = 1 exceeds budget"):
+        bruteforce_search(c, Linearization(N // 2, N))
+    assert time.perf_counter() - start < 5
 
 
 def test_representative_of_stable_orbit():

@@ -54,6 +54,12 @@ def test_bool_is_neither_genus_nor_degree(g, d):
         ModuliParams(g, d)
 
 
+@pytest.mark.parametrize("d", [True, 0.5, "x"])
+def test_milnor_wood_validates_degree_like_moduli_params(d):
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        milnor_wood_admits_stable(3, d)
+
+
 def test_derived_parameters():
     assert G2D0.N == 4
     assert G2D0.n == 2
