@@ -25,9 +25,8 @@ from typing import Optional, Sequence
 
 from . import local_model
 from .configuration import Configuration, config_from_json, config_to_json
-from .errors import InvalidGenusError, LengthMismatchError, SearchSpaceError
+from .errors import InvalidGenusError, LengthMismatchError
 from .git_engine import (
-    DEFAULT_SEARCH_BUDGET,
     GitClass,
     Linearization,
     bruteforce_search,
@@ -47,12 +46,16 @@ USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
 # the largest requests accepted, refused before any work: census at genus
-# 100 writes about 24 MB of JSON in about 0.5 s or 13 MB of CSV in 0.7 to
-# 0.9 s (interpreter start included), and the local-model suite at order
+# 100 writes about 24 MB of JSON or 13 MB of CSV in 0.5 to 0.7 s
+# (interpreter start included), and the local-model suite at order
 # 32 with 500 cases runs for about 17 s.  The genus bound covers stability,
-# census and git-classify alike
+# census and git-classify alike.  git-classify at genus 100 spends at most
+# about 3 s on a stable configuration (its rank) and 0.6 to 0.9 s on a
+# non-stable one with --rmax 32, whose count has 1,620 digits, well under
+# the 4,300 Python prints
 MAX_GENUS = 100
 MAX_TRUNCATION = 32
+MAX_RMAX = 32
 MAX_CASES = 500
 
 
@@ -225,6 +228,7 @@ _CENSUS_ROW_JSON = (
     '      "stratum_dimension": %s\n'
     "    }"
 )
+_CENSUS_ROW_CSV = "%d,%d,%d,%s,%d,%s\n"
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -233,6 +237,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     result = census(p)
     totals = {cls.value: count for cls, count in result.class_totals().items()}
     grand_total = sum(totals.values())
+    names = {cls: cls.value for cls in StabilityClass}
     if args.format == "json":
         # the head keys and totals go through json.dumps with an empty rows
         # list, which is then filled with the rows formatted from the template
@@ -244,7 +249,6 @@ def _cmd_census(args: argparse.Namespace) -> int:
             "rows": [],
             "totals": {**totals, "all": grand_total},
         })
-        names = {cls: cls.value for cls in StabilityClass}
         body = ",\n".join([
             _CENSUS_ROW_JSON
             % (d_beta, d_gamma, d_r, count, names[cls], "null" if dim is None else dim)
@@ -252,15 +256,18 @@ def _cmd_census(args: argparse.Namespace) -> int:
         ])
         _emit(head.replace('"rows": []', '"rows": [\n' + body + "\n  ]", 1), args.output)
     else:
-        header = ["d_beta", "d_gamma", "d_rest", "stability", "labeled_count", "stratum_dimension"]
-        rows = [
-            [r.d_beta, r.d_gamma, r.d_r, r.stability.value, r.labeled_count,
-             "" if r.stratum_dim is None else r.stratum_dim]
-            for r in result.rows
-        ]
-        comments = [f"total {name} {count}" for name, count in totals.items()]
-        comments.append(f"total all {grand_total}")
-        _emit(_csv_text(header, rows, comments), args.output)
+        # ints and fixed class names, none of which csv.writer would quote
+        body = "".join([
+            _CENSUS_ROW_CSV
+            % (d_beta, d_gamma, d_r, names[cls], count, "" if dim is None else dim)
+            for d_beta, d_gamma, d_r, cls, count, dim in result.rows
+        ])
+        comments = "".join(f"# total {name} {count}\n" for name, count in totals.items())
+        _emit(
+            "d_beta,d_gamma,d_rest,stability,labeled_count,stratum_dimension\n"
+            + body + comments + f"# total all {grand_total}\n",
+            args.output,
+        )
     return 0
 
 
@@ -273,7 +280,8 @@ def _load_configurations(path: str, expected_slots: int) -> list[Configuration]:
             data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # also an integer past the 4300 digits Python converts, or bytes not UTF-8
         raise _UsageError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise _UsageError(f"{path} nests JSON too deeply to read") from exc
@@ -309,6 +317,8 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
         )
     if args.rmax < 1:
         raise _UsageError("--rmax must be >= 1")
+    if args.rmax > MAX_RMAX:
+        raise _UsageError(f"--rmax must be <= {MAX_RMAX}, got {args.rmax}")
     lin = Linearization.for_moduli(p)
     configs = _load_configurations(args.input, p.N)
 
@@ -316,7 +326,7 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
     all_agree = True
     for k, c in enumerate(configs):
         closed = classify_closed_form(c, lin)
-        outcome = bruteforce_search(c, lin, args.rmax, DEFAULT_SEARCH_BUDGET)
+        outcome = bruteforce_search(c, lin, args.rmax)
         agree = closed is outcome.git_class
         all_agree = all_agree and agree
         if closed is GitClass.UNSTABLE:
@@ -400,9 +410,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (
-        _UsageError, InvalidGenusError, LengthMismatchError, SearchSpaceError, OSError
-    ) as exc:
+    except (_UsageError, InvalidGenusError, LengthMismatchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -29,10 +29,6 @@ class NoChartError(ValueError):
     """Affine charts exist only over the stable locus."""
 
 
-class SearchSpaceError(RuntimeError):
-    """The brute-force monomial enumeration would exceed the configured budget."""
-
-
 class HeckeDatumError(ValueError):
     """Kernel generators whose determinant is not a unit multiple of zeta
     do not come from a simple-zero Hecke modification."""

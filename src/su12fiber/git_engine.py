@@ -29,10 +29,12 @@ witness must be nonvanishing, it lives on the face where the [0:1] slots
 sit at N*r and the [1:0] slots at 0; only the remaining free slots vary,
 and the search walks them in lexicographic order.  The report still gives
 the position of the stable witness in the lexicographic sweep of all
-balanced vectors (monomials_enumerated), computed as a rank from
-composition counts.  Each count is a closed-form inclusion-exclusion sum
-of binomials, so neither the rank nor the budget check on the length of
-the sweep walks the sweep.
+balanced vectors (monomials_enumerated), computed as a rank: per slot,
+the vectors that agree with the witness before it and are smaller in it.
+composition_count is a closed-form inclusion-exclusion sum of binomials,
+and the rank sums it over each slot's value in closed form too, so
+neither walks the sweep.  The work is bounded by N and the highest power
+swept, not by the length of the sweep.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .configuration import Configuration, act, mark_data, saturate_limit
-from .errors import LengthMismatchError, NoChartError, SearchSpaceError
+from .errors import LengthMismatchError, NoChartError
 from .stability import ModuliParams, StabilityClass
 
 
@@ -55,7 +57,7 @@ class GitClass(Enum):
 
 @dataclass(frozen=True)
 class Linearization:
-    """Slot count N, weight budget n, and polarization power r."""
+    """Slot count N, weight parameter n, and polarization power r."""
 
     n: int
     N: int
@@ -65,7 +67,7 @@ class Linearization:
         if self.N < 1:
             raise ValueError(f"need at least one slot, got N = {self.N}")
         if not 0 <= self.n <= self.N:
-            raise ValueError(f"weight budget n = {self.n} outside [0, {self.N}]")
+            raise ValueError(f"weight parameter n = {self.n} outside [0, {self.N}]")
         if self.r < 1:
             raise ValueError(f"polarization power must be >= 1, got {self.r}")
 
@@ -220,12 +222,31 @@ def bounded_compositions(total: int, cap: int, length: int) -> Iterator[Monomial
 def _lex_rank(m: Sequence[int], cap: int) -> int:
     """Number of vectors in [0, cap]^len(m) with sum(m) lexicographically before m."""
     rank = 0
-    remaining = sum(m)
-    for i, mi in enumerate(m):
-        # every vector agreeing with m before slot i and smaller at slot i
-        for v in range(mi):
-            rank += composition_count(remaining - v, cap, len(m) - i - 1)
-        remaining -= mi
+    rest = sum(m)
+    length = len(m)
+    for mi in m:
+        length -= 1
+        rest -= mi
+        if mi == 0:
+            continue
+        # vectors agreeing with m before this slot and holding v < mi in it:
+        # the later slots sum to a total in (rest, rest + mi], or, reflected by
+        # v -> cap - v, in [top - rest - mi, top - rest); (lo, hi] is the range
+        # with the smaller upper end.  Summed over it, each inclusion-exclusion
+        # term of composition_count telescopes (hockey stick) to
+        # C(hi - j(cap+1) + length, length) minus the same at lo, each 0 once
+        # its upper index is negative
+        top = cap * length
+        if rest + mi < top - rest:
+            lo, hi = rest, rest + mi
+        else:
+            lo, hi = top - rest - mi - 1, top - rest - 1
+        for j in range(hi // (cap + 1) + 1):
+            shift = j * (cap + 1)
+            term = comb(hi - shift + length, length)
+            if lo >= shift:
+                term -= comb(lo - shift + length, length)
+            rank += (-1) ** j * comb(length, j) * term
     return rank
 
 
@@ -250,13 +271,6 @@ def _lex_successor(v: list[int], cap: int) -> bool:
     return False
 
 
-# bounds the length of the reported sweep, monomials_enumerated, not the
-# work: the face search costs microseconds whatever the count.  It admits
-# N = 8, r = 1 at middle weight (2.3e6 balanced vectors) and refuses
-# N = 8 with r_max = 2 (2e8 vectors)
-DEFAULT_SEARCH_BUDGET = 4_000_000
-
-
 @dataclass(frozen=True)
 class BruteForceOutcome:
     git_class: GitClass
@@ -266,12 +280,7 @@ class BruteForceOutcome:
     fixed_point: bool
 
 
-def bruteforce_search(
-    c: Configuration,
-    lin: Linearization,
-    r_max: int = 1,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> BruteForceOutcome:
+def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> BruteForceOutcome:
     """Invariant-monomial search, sweeping powers r = 1..r_max.
 
     Semistable iff some balanced exponent vector is nonvanishing at c.
@@ -305,35 +314,23 @@ def bruteforce_search(
     lexicographic sweep over r = 1, 2, ... visits up to and including the
     stable witness: the full counts of the earlier powers plus the rank
     of the witness plus one; with no stable witness, the full count up to
-    r_max.  The one budget check refuses on that full count, summed power
-    by power, at the first r where it passes the budget and before any
-    search; the refusal names r and the budget, not the count.
+    r_max.  A power is counted only once its face holds no stable
+    witness, so a stable configuration computes one rank and no count.
+    The rank is one inclusion-exclusion sum per slot and the count one
+    sum per power, so the work grows with N and r_max, never with the
+    length of the sweep; git-classify bounds both.
     """
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    # stop summing at the first power that overflows the budget: a huge
-    # r_max must be refused without counting every power up to it.  The
-    # count can pass the 4300 digits Python prints, so the message omits it
-    space = 0
-    counts = []
-    for r in range(1, r_max + 1):
-        counts.append(composition_count(lin.N * r * lin.n, lin.N * r, lin.N))
-        space += counts[-1]
-        if space > budget:
-            raise SearchSpaceError(
-                f"enumeration of balanced exponent vectors up to power "
-                f"r = {r} exceeds budget {budget}"
-            )
-
     n_zero = sum(1 for p in c.points if p.is_zero())
     free_slots = [j for j, p in enumerate(c.points) if p.is_finite()]
     fixed = not free_slots
     semistable_witness: Optional[tuple[int, MonomialIndex]] = None
     stable_witness: Optional[tuple[int, MonomialIndex]] = None
     enumerated = 0
-    for r, count in enumerate(counts, start=1):
+    for r in range(1, r_max + 1):
         cap = lin.N * r
         rest = lin.N * r * lin.n - cap * n_zero
         if 0 <= rest <= cap * len(free_slots):
@@ -353,7 +350,7 @@ def bruteforce_search(
         if stable_witness is not None:
             enumerated += _lex_rank(stable_witness[1], cap) + 1
             break
-        enumerated += count
+        enumerated += composition_count(lin.N * r * lin.n, cap, lin.N)
 
     if stable_witness is not None and not fixed:
         cls = GitClass.STABLE
@@ -364,13 +361,8 @@ def bruteforce_search(
     return BruteForceOutcome(cls, semistable_witness, stable_witness, enumerated, fixed)
 
 
-def classify_bruteforce(
-    c: Configuration,
-    lin: Linearization,
-    r_max: int = 1,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> GitClass:
-    return bruteforce_search(c, lin, r_max, budget).git_class
+def classify_bruteforce(c: Configuration, lin: Linearization, r_max: int = 1) -> GitClass:
+    return bruteforce_search(c, lin, r_max).git_class
 
 
 def s_equivalence_representative(c: Configuration, lin: Linearization) -> Configuration:

@@ -46,7 +46,7 @@ class StabilityClass(Enum):
 class ModuliParams:
     """Genus and degree, with the derived slot count and torus weight.
 
-    N = 4g - 4 marked points; n = 2(g-1+d) is the weight budget entering
+    N = 4g - 4 marked points; n = 2(g-1+d) is the weight parameter entering
     both the stability inequalities and the torus linearization.  In the
     strict Milnor-Wood range |d| < g - 1 we automatically get 0 < n < N.
     """

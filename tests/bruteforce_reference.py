@@ -4,27 +4,37 @@ This is the search `su12fiber.git_engine` ran before it moved to the face
 cut out by the marks.  It walks every balanced exponent vector of every
 power in lexicographic order through `bounded_compositions`, filters by
 nonvanishing afterwards and counts each vector it visits, so it shares no
-face, rank or successor code with the package.  Its budget check counts
-with the dynamic-programming table the package used before its closed
-form, so the two routes share no counting code either.  test_git_engine.py
-requires the package search to return the same BruteForceOutcome, and the
-package composition_count to match the table.
+face, rank or successor code with the package.  Walking the sweep is
+what costs here, so it keeps a limit on the sweep's length of its own.
+That limit counts with the dynamic-programming table the package used
+before its closed form, and `lex_rank` is the rank the package computed
+with one count per unit before its closed form, so the two routes share
+no counting code either.  test_git_engine.py requires the package search
+to return the same BruteForceOutcome, and the package composition_count
+and rank to match the table and `lex_rank`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from su12fiber.configuration import Configuration, mark_data
-from su12fiber.errors import LengthMismatchError, SearchSpaceError
+from su12fiber.errors import LengthMismatchError
 from su12fiber.git_engine import (
-    DEFAULT_SEARCH_BUDGET,
     BruteForceOutcome,
     GitClass,
     Linearization,
     MonomialIndex,
     bounded_compositions,
 )
+
+# the longest sweep the reference walks: N = 8, r = 1 at middle weight has
+# 2.3e6 balanced vectors, N = 8 with r_max = 2 has 2e8
+SWEEP_LIMIT = 4_000_000
+
+
+class SweepTooLongError(RuntimeError):
+    """The full sweep would walk more balanced vectors than its limit."""
 
 
 def composition_count(total: int, cap: int, length: int) -> int:
@@ -47,11 +57,23 @@ def composition_count(total: int, cap: int, length: int) -> int:
     return counts[total]
 
 
+def lex_rank(m: Sequence[int], cap: int) -> int:
+    """Number of vectors in [0, cap]^len(m) with sum(m) lexicographically before m."""
+    rank = 0
+    remaining = sum(m)
+    for i, mi in enumerate(m):
+        # every vector agreeing with m before slot i and smaller at slot i
+        for v in range(mi):
+            rank += composition_count(remaining - v, cap, len(m) - i - 1)
+        remaining -= mi
+    return rank
+
+
 def bruteforce_search(
     c: Configuration,
     lin: Linearization,
     r_max: int = 1,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    limit: int = SWEEP_LIMIT,
 ) -> BruteForceOutcome:
     """Exhaustive invariant-monomial search, sweeping powers r = 1..r_max.
 
@@ -64,15 +86,15 @@ def bruteforce_search(
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    # stop summing at the first power that overflows the budget: a huge
+    # stop summing at the first power that overflows the limit: a huge
     # r_max must be refused without counting every power up to it
     space = 0
     for r in range(1, r_max + 1):
         space += composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
-        if space > budget:
-            raise SearchSpaceError(
+        if space > limit:
+            raise SweepTooLongError(
                 f"enumeration of balanced exponent vectors up to power "
-                f"r = {r} exceeds budget {budget}"
+                f"r = {r} exceeds limit {limit}"
             )
 
     fixed = all(not p.is_finite() for p in c.points)

@@ -5,13 +5,16 @@ a recurrence along each row: two `math.comb` per cell, one `classify_counts`
 call per cell and a frozen dataclass per row.  `emission` reproduces what the
 `census` subcommand wrote from such rows: the whole payload through
 `json.dumps(indent=2, sort_keys=True)`, or the rows through `csv.writer`,
-plus the Milnor-Wood warning on stderr.  Nothing in the package imports
-this module.
+plus the Milnor-Wood warning on stderr.  `GENERA` and `degrees` name the
+grid of (genus, degree) cases the differential tests cover, and `digest`
+is the fingerprint of one emission kept in census_digests.txt.  Nothing
+in the package imports this module.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -23,6 +26,25 @@ from su12fiber.stability import (
     classify_counts,
     milnor_wood_admits_stable,
 )
+
+
+# every degree from -g-1 to g+1 for g in 2..30 (inside, at and outside the
+# Milnor-Wood range, where gamma_bound runs from below 0 to past N), plus
+# the degrees 0, +-(g-1) and +-g at three large genera
+SMALL_GENERA = range(2, 31)
+LARGE_GENERA = (47, 60, 100)
+GENERA = (*SMALL_GENERA, *LARGE_GENERA)
+
+
+def degrees(g: int) -> tuple[int, ...]:
+    if g in LARGE_GENERA:
+        return (0, g - 1, 1 - g, g, -g)
+    return tuple(range(-g - 1, g + 2))
+
+
+def digest(out: str, err: str) -> str:
+    """sha256 of one emission: stdout and stderr, joined by a NUL byte."""
+    return hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from su12fiber.configuration import (
 )
 from su12fiber.exact import MAX_LITERAL_LENGTH, Scalar
 from su12fiber.git_engine import GitClass
+from su12fiber.stability import ModuliParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -226,11 +227,19 @@ def test_git_classify_rejects_slot_mismatch(tmp_path, capsys):
 
 
 def test_git_classify_rejects_bad_json(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, "git-classify", "--genus", "2", "--input", str(path))
-    assert code == 1
-    assert "not valid JSON" in err
+    # a syntax error, an integer longer than the 4300 digits Python converts
+    # (json.load raises a plain ValueError for it) and bytes that are not UTF-8
+    long_int = '[{"base": "L0", "points": ["zero", {"t": "1"}, {"t": %s}, "inf"]}]' % ("7" * 5000)
+    for name, data in [
+        ("broken.json", b"{not json"),
+        ("long.json", long_int.encode()),
+        ("latin1.json", b"[\xff]"),
+    ]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
 
 def test_git_classify_rejects_missing_file(capsys):
@@ -248,52 +257,76 @@ def test_git_classify_rejects_malformed_coordinate(tmp_path, capsys, t):
     assert err.startswith(f"error: {path}[0]: ") and err.count("\n") == 1
 
 
-def test_git_classify_refuses_huge_rmax_before_counting(tmp_path):
-    # the budget check stops at the first power that overflows it, so
-    # r_max = 2000 is refused at r = 2, as fast as r_max = 2
-    path = write_configs(
-        tmp_path / "c.json", [Configuration.of("L0", [Z, F(1), F(2), F(3), F(4), F(5), F(6), I])]
-    )
+def test_git_classify_refuses_huge_rmax_before_counting():
+    # the --rmax bound is checked before the input file is opened
     result = run_python(
-        "-c", CLI_SCRIPT.format(""),
-        "git-classify", "--genus", "3", "--rmax", "2000", "--input", path,
+        "-m", "su12fiber",
+        "git-classify", "--genus", "3", "--rmax", "2000", "--input", "no-such-configs.json",
         timeout=10,
     )
     assert result.returncode == 1 and result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert "exceeds budget" in result.stderr and "r = 2 " in result.stderr
+    assert result.stderr == f"error: --rmax must be <= {cli.MAX_RMAX}, got 2000\n"
 
 
-@pytest.mark.parametrize("degree", ["0", "98"])
-def test_git_classify_refuses_large_genus_before_counting(tmp_path, degree):
-    # the exact count at 396 slots is an inclusion-exclusion sum of at most
-    # min(n, N - n) + 1 binomials, so the budget refuses it in milliseconds;
-    # at degree 98 (n = N - 2) the count runs on the complementary sum 2N
-    # instead of N(N - 2)
-    N = 396
-    points = [Z] + [F(k) for k in range(1, N - 1)] + [I]
-    path = write_configs(tmp_path / "c.json", [Configuration.of("L0", points)])
+def one_config_per_class(genus, degree):
+    """Stable, strictly semistable and unstable mark patterns, shuffled."""
+    p = ModuliParams(genus, degree)
+    N, n = p.N, p.n
+    rng = random.Random(genus * 1000 + degree)
+    configs = []
+    for n_zero, n_inf in ((n - 1, N - n - 1), (n, N - n - 1), (n + 1, 0)):
+        marks = ["z"] * n_zero + ["i"] * n_inf + ["f"] * (N - n_zero - n_inf)
+        rng.shuffle(marks)
+        points = [Z if k == "z" else I if k == "i" else F(j + 1) for j, k in enumerate(marks)]
+        configs.append(Configuration.of("L0", points))
+    return configs
+
+
+@pytest.mark.parametrize(
+    "genus, degree, rmax",
+    [(3, 0, 2), (4, 0, 1), (100, 0, 1), (100, 50, 1), (100, -50, 1), (100, 97, 1), (100, -97, 1)],
+)
+def test_git_classify_answers_every_admitted_genus(tmp_path, genus, degree, rmax):
+    # the rank of a stable witness and the balanced count are closed-form
+    # sums, so every genus up to MAX_GENUS is answered in a fresh process
+    path = write_configs(tmp_path / "c.json", one_config_per_class(genus, degree))
     result = run_python(
-        "-c", CLI_SCRIPT.format(""),
-        "git-classify", "--genus", "100", "--degree", degree, "--input", path,
-        timeout=5,
+        "-m", "su12fiber", "git-classify", "--genus", str(genus), "--degree", str(degree),
+        "--rmax", str(rmax), "--input", path,
+        timeout=30,
     )
-    assert result.returncode == 1 and result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert "exceeds budget" in result.stderr and "r = 1 " in result.stderr
+    assert result.returncode == 0 and result.stderr == ""
+    payload = json.loads(result.stdout)
+    assert payload["all_agree"] is True
+    classes = [r["closed_form"] for r in payload["configurations"]]
+    assert classes == ["GitStable", "StrictlySemistable", "GitUnstable"]
 
 
-@pytest.mark.parametrize("genus, rmax, power", [(3, "2", 2), (4, "1", 1)])
-def test_git_classify_refuses_at_the_first_power_over_budget(tmp_path, capsys, genus, rmax, power):
-    # genus 3 fits the budget at r = 1 and overflows it at r = 2; genus 4
-    # and up overflow it at r = 1
-    N = 4 * genus - 4
-    points = [Z] + [F(k) for k in range(1, N - 1)] + [I]
-    path = write_configs(tmp_path / "c.json", [Configuration.of("L0", points)])
-    code, out, err = run(capsys, "git-classify", "--genus", str(genus), "--rmax", rmax, "--input", path)
+def test_git_classify_prints_the_longest_count_at_the_rmax_bound(tmp_path, capsys):
+    # genus 100 at middle weight with --rmax MAX_RMAX: an unstable
+    # configuration reports the full balanced count summed over every
+    # power, the longest number git-classify can print
+    unstable = one_config_per_class(cli.MAX_GENUS, 0)[2]
+    path = write_configs(tmp_path / "c.json", [unstable])
+    argv = ["git-classify", "--genus", str(cli.MAX_GENUS), "--rmax", str(cli.MAX_RMAX),
+            "--input", path]
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 0 and err == "" and payload["all_agree"] is True
+    (report,) = payload["configurations"]
+    assert report["brute_force"] == "GitUnstable"
+    assert report["monomials_enumerated"] > 10**1600
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    assert int(out.splitlines()[1].split(",")[5]) == report["monomials_enumerated"]
+
+
+def test_git_classify_refuses_rmax_past_its_bound(capsys):
+    code, out, err = run(
+        capsys, "git-classify", "--genus", str(cli.MAX_GENUS), "--rmax", str(cli.MAX_RMAX + 1),
+        "--input", "no-such-configs.json",
+    )
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "exceeds budget" in err and f"r = {power} " in err
+    assert err == f"error: --rmax must be <= {cli.MAX_RMAX}, got {cli.MAX_RMAX + 1}\n"
 
 
 def literals_of_length(length, rng):
