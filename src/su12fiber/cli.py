@@ -48,12 +48,17 @@ CHECK_FAILURE = 2
 # the largest requests accepted, refused before any work: census at genus
 # 100 writes about 24 MB of JSON or 13 MB of CSV in 0.5 to 0.7 s
 # (interpreter start included), and the local-model suite at order
-# 32 with 500 cases runs for about 17 s.  The genus bound covers stability,
+# 32 with 500 cases runs for 15 to 16 s.  The genus bound covers stability,
 # census and git-classify alike.  git-classify at genus 100 spends at most
 # about 3 s on a stable configuration (its rank) and 0.6 to 0.9 s on a
 # non-stable one with --rmax 32, whose count has 1,620 digits, well under
 # the 4,300 Python prints
 MAX_GENUS = 100
+# Python converts ints of at most 4,300 digits to text by default, so argparse
+# already refuses a longer --degree; a degree of at most 4,299 digits keeps
+# the printed bounds 2(g - 1 +- d) within 4,300 digits for every admitted
+# genus, and only 4,300-digit degrees are refused for it
+MAX_DEGREE_DIGITS = 4299
 MAX_TRUNCATION = 32
 MAX_RMAX = 32
 MAX_CASES = 500
@@ -146,6 +151,12 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequenc
 def _bounded_moduli(args: argparse.Namespace) -> ModuliParams:
     if args.genus > MAX_GENUS:
         raise _UsageError(f"--genus must be <= {MAX_GENUS}, got {args.genus}")
+    digits = len(str(abs(args.degree)))  # no 10**4299 built on every call
+    if digits > MAX_DEGREE_DIGITS:
+        raise _UsageError(
+            f"--degree must be <= 10^{MAX_DEGREE_DIGITS} - 1 in absolute value, "
+            f"got {digits} digits"
+        )
     return ModuliParams(args.genus, args.degree)
 
 

@@ -514,12 +514,6 @@ class Mat2:
         zero = TruncatedSeries.zero(d0.order)
         return Mat2(((d0, zero), (zero, d1)))
 
-    @staticmethod
-    def swap(order: int) -> "Mat2":
-        one = TruncatedSeries.one(order)
-        zero = TruncatedSeries.zero(order)
-        return Mat2(((zero, one), (one, zero)))
-
     def __getitem__(self, i: int) -> SeriesPair:
         return self.entries[i]
 

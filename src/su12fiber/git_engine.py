@@ -72,8 +72,8 @@ class Linearization:
             raise ValueError(f"polarization power must be >= 1, got {self.r}")
 
     @staticmethod
-    def for_moduli(p: ModuliParams, r: int = 1) -> "Linearization":
-        return Linearization(p.n, p.N, r)
+    def for_moduli(p: ModuliParams) -> "Linearization":
+        return Linearization(p.n, p.N)
 
     @property
     def cap(self) -> int:

@@ -186,20 +186,17 @@ def higgs_vanishing_matches_point(xi: EvaluationCovector, h: LocalHiggs) -> bool
 # Smith reduction
 
 
-def _signed_swap(order: int) -> Mat2:
-    one = TruncatedSeries.one(order)
-    zero = TruncatedSeries.zero(order)
-    return Mat2(((zero, one), (-one, zero)))
-
-
 def smith_form(phi: Mat2) -> tuple[Mat2, Mat2]:
-    """Unit matrices (P, Q) with P @ phi @ Q == diag(1, zeta) exactly.
+    """Matrices (P, Q) of determinant exactly 1 with P @ phi @ Q == diag(1, zeta).
 
-    Requires det(phi) == zeta exactly, which forces some entry to have a
-    unit constant term.  That pivot is moved to the top-left by swaps of
-    determinant one, the pivot row clears the other row's constant part,
-    and Q is the adjugate-style completion built from the exact
-    zeta-quotients of the cleared row.  Truncation loses the top
+    Requires det(phi) == zeta exactly.  Then phi(0) is a nonzero matrix of
+    rank one, so some entry has a unit constant term, and at most two
+    shears bring one to the top-left: add row 1 to row 0 if row 0 has no
+    unit entry, then column 1 to column 0 if the top-left is still not a
+    unit.  The top-left constant clears the constant terms of row 1, and Q
+    is the adjugate-style completion built from the zeta-quotients of that
+    cleared row.  Shears, the clearing step and the completion all have
+    determinant one, so P and Q do too.  Truncation loses the top
     coefficient of a zeta-quotient, so one coefficient of the completion
     is corrected to keep the identity exact at order T.
     """
@@ -210,51 +207,39 @@ def smith_form(phi: Mat2) -> tuple[Mat2, Mat2]:
     if phi.det() != zeta:
         raise SmithPreconditionError("determinant must equal zeta exactly")
 
-    pivot = next(
-        (
-            (i, j)
-            for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))
-            if not phi[i][j].constant_term.is_zero()
-        ),
-        None,
-    )
-    if pivot is None:
+    (a, b), (c, d) = phi.entries
+    row_shear = not (a.is_unit() or b.is_unit())
+    if row_shear:  # P gains the factor [[1, 1], [0, 1]]
+        a, b = a + c, b + d
+    col_shear = not a.is_unit()
+    if col_shear:  # Q gains the factor [[1, 0], [1, 1]]
+        a, c = a + b, c + d
+    if not a.is_unit():
         raise InternalInconsistencyError("det = zeta forces a unit constant term")
-    i0, j0 = pivot
-    ident = Mat2.identity(T)
-    if i0 == 1 and j0 == 1:
-        pre, post = Mat2.swap(T), Mat2.swap(T)  # two sign flips cancel
-    elif i0 == 1:
-        pre, post = _signed_swap(T), ident
-    elif j0 == 1:
-        pre, post = ident, _signed_swap(T)
-    else:
-        pre, post = ident, ident
-    psi = pre @ phi @ post  # det still exactly zeta
 
-    a11 = psi[0][0].constant_term
-    a21 = psi[1][0].constant_term
+    a0 = a.constant_term
+    s = TruncatedSeries.constant(-(c.constant_term / a0), T)
+    c1 = (c + s * a).div_zeta()  # row 1 plus s times row 0 vanishes at zeta = 0
+    c2 = (d + s * b).div_zeta()
+
+    # a*c2 - b*c1 - 1 vanishes below zeta^(T-1); the top coefficient is the
+    # truncation defect of the zeta-quotients and is pushed into c2
     one = TruncatedSeries.one(T)
-    zero = TruncatedSeries.zero(T)
-    p0 = Mat2(
-        ((one, zero), (TruncatedSeries.constant(-(a21 / a11), T), one))
-    )
-    m = p0 @ psi  # second row now has vanishing constant terms
-    c1 = m[1][0].div_zeta()
-    c2 = m[1][1].div_zeta()
-
-    # psi11*c2 - psi12*c1 - 1 vanishes below zeta^(T-1); the top coefficient
-    # is the truncation defect of the zeta-quotients and is pushed into c2
-    err = psi[0][0] * c2 - psi[0][1] * c1 - one
+    err = a * c2 - b * c1 - one
     if any(not err[k].is_zero() for k in range(T - 1)):
         raise InternalInconsistencyError("cleared row failed the determinant identity")
     defect = err[T - 1]
     if not defect.is_zero():
-        c2 = c2 - TruncatedSeries.monomial(T - 1, T, defect / a11)
+        c2 = c2 - TruncatedSeries.monomial(T - 1, T, defect / a0)
 
-    q0 = Mat2(((c2, -psi[0][1]), (-c1, psi[0][0])))
-    p = p0 @ pre
-    q = post @ q0
+    if row_shear:
+        p = Mat2(((one, one), (s, s + one)))
+    else:
+        p = Mat2(((one, TruncatedSeries.zero(T)), (s, one)))
+    if col_shear:
+        q = Mat2(((c2, -b), (c2 - c1, a - b)))
+    else:
+        q = Mat2(((c2, -b), (-c1, a)))
     if p @ phi @ q != Mat2.diag(one, zeta):
         raise InternalInconsistencyError("Smith reduction lost exactness")
     return p, q
@@ -401,14 +386,10 @@ def normal_form_check(b, order: int = DEFAULT_ORDER) -> NormalFormReport:
 # randomized self-verification, shared by the test suite and the CLI
 
 
-def random_scalar(rng: Random, *, nonzero: bool = False, sqrt2_part: bool = True) -> Scalar:
+def random_scalar(rng: Random, *, nonzero: bool = False) -> Scalar:
     while True:
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        b = (
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if sqrt2_part and rng.random() < 0.5
-            else Fraction(0)
-        )
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else 0
         s = Scalar(a, b)
         if not (nonzero and s.is_zero()):
             return s
@@ -436,7 +417,7 @@ def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
     b = random_unit_matrix(rng, order)
     unit = (a.det() * b.det()).inverse()
     b = b.scale_col(1, unit)
-    phi = a @ Mat2.diag(TruncatedSeries.one(order), TruncatedSeries.zeta(order)) @ b
+    phi = a.scale_col(1, TruncatedSeries.zeta(order)) @ b  # a @ diag(1, zeta) @ b
     if phi.det() != TruncatedSeries.zeta(order):
         raise InternalInconsistencyError("random determinant normalization failed")
     return phi

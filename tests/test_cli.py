@@ -504,8 +504,15 @@ def test_local_verify_catches_planted_fault_under_optimize():
         ("local-model-verify", "--truncation", "10000", "--cases", "1"),
         ("local-model-verify", "--cases", "501"),
         ("local-model-verify", "--cases", "10000000", "--truncation", "2"),
+        # 4,300 digits: argparse reads it, but 2(g - 1 + d) has 4,301
+        ("stability", "--genus", "2", "--degree", "5" + "0" * 4299, "--dbeta", "1",
+         "--dgamma", "1"),
+        ("stability", "--genus", "2", "--degree", "-5" + "0" * 4299, "--dbeta", "1",
+         "--dgamma", "1", "--format", "csv"),
     ],
-    ids=lambda argv: "_".join(argv).replace("--", ""),
+    ids=lambda argv: "_".join(
+        a if len(a) < 100 else f"{len(a.lstrip('-'))}-digit" for a in argv
+    ).replace("--", ""),
 )
 def test_oversize_requests_are_refused_before_work(argv):
     result = run_python("-m", "su12fiber", *argv, timeout=10)

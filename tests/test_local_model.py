@@ -140,8 +140,8 @@ def test_smith_swapped_diagonal():
     phi = Mat2.diag(ZETA, ONE)
     p, q = smith_form(phi)
     assert p @ phi @ q == TARGET
-    # pivot hunt lands on the bottom-right unit, so both transforms are swaps
-    assert p == Mat2.swap(T) and q == Mat2.swap(T)
+    # the unit sits bottom-right, so both shears run; neither flips a sign
+    assert p.det() == ONE and q.det() == ONE
 
 
 def test_smith_dense_example():
@@ -169,7 +169,40 @@ def test_smith_rejects_wrong_determinant():
         smith_form(Mat2.diag(ONE, ZETA + ONE))
 
 
-@pytest.mark.parametrize("order", list(range(2, 13)))
+def _single_unit_input(rng, order, i, j):
+    """Random det-zeta matrix whose only unit entry sits at (i, j)."""
+    one = TruncatedSeries.one(order)
+    zeta = TruncatedSeries.zeta(order)
+    u = local_model.random_series(rng, order)
+    while not u.is_unit():
+        u = local_model.random_series(rng, order)
+    x = zeta * local_model.random_series(rng, order)
+    y = zeta * local_model.random_series(rng, order)
+    # u w - x y = zeta on the diagonal, x y - u w = zeta off it
+    sign = one if i == j else -one
+    w = (sign * zeta + x * y) * u.inverse()
+    entries = [[x, y], [x, y]]
+    entries[i][j], entries[1 - i][1 - j] = u, w
+    return Mat2(tuple(tuple(row) for row in entries))
+
+
+@pytest.mark.parametrize("order", [*range(2, 13), 32])
+@pytest.mark.parametrize("pivot", [(0, 0), (0, 1), (1, 0), (1, 1)], ids="{0[0]}{0[1]}".format)
+def test_smith_single_unit_entry_gives_determinant_one(pivot, order):
+    rng = Random(f"{pivot}:{order}")
+    one = TruncatedSeries.one(order)
+    target = Mat2.diag(one, TruncatedSeries.zeta(order))
+    for _ in range(3):
+        phi = _single_unit_input(rng, order, *pivot)
+        assert phi.det() == TruncatedSeries.zeta(order)
+        units = [(i, j) for i in (0, 1) for j in (0, 1) if phi[i][j].is_unit()]
+        assert units == [pivot]
+        p, q = smith_form(phi)
+        assert p @ phi @ q == target
+        assert p.det() == one and q.det() == one
+
+
+@pytest.mark.parametrize("order", [*range(2, 13), 16, 32])
 def test_smith_randomized_all_orders(order):
     local_model._check_smith_randomized(Random(1000 + order), order, 12)
 
