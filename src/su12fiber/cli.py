@@ -48,7 +48,7 @@ CHECK_FAILURE = 2
 # the largest requests accepted, refused before any work: census at genus
 # 100 writes about 24 MB of JSON or 13 MB of CSV in 0.5 to 0.7 s
 # (interpreter start included), and the local-model suite at order
-# 32 with 500 cases runs for 15 to 16 s.  The genus bound covers stability,
+# 32 with 500 cases runs for 9 to 10 s.  The genus bound covers stability,
 # census and git-classify alike.  git-classify at genus 100 spends at most
 # about 3 s on a stable configuration (its rank) and 0.6 to 0.9 s on a
 # non-stable one with --rmax 32, whose count has 1,620 digits, well under

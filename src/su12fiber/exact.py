@@ -121,6 +121,11 @@ class Scalar:
         return Scalar(_as_fraction(x))
 
     @staticmethod
+    def from_ratios(p: int, q: int, r: int, s: int) -> "Scalar":
+        """The scalar p/q + (r/s)*sqrt2 from integers, q and s nonzero."""
+        return _scalar(p * s, r * q, q * s)
+
+    @staticmethod
     def zero() -> "Scalar":
         return _ZERO
 
@@ -393,14 +398,17 @@ class TruncatedSeries:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "TruncatedSeries":
-        o = self._coerce(other)
+        s, o = self, self._coerce(other)
+        # the loop skips zeros of its outer operand: make that the sparser one
+        if o._a.count(0) + o._b.count(0) > s._a.count(0) + s._b.count(0):
+            s, o = o, s
         u, v = o._a, o._b
         T = len(u)
         A = [0] * T
         B = [0] * T
         # schoolbook convolution truncated at T, with s^2 = 2:
         # (x + y s)(p + q s) = xp + 2yq + (xq + yp) s
-        for i, (x, y) in enumerate(zip(self._a, self._b)):
+        for i, (x, y) in enumerate(zip(s._a, s._b)):
             if y:
                 y2 = 2 * y
                 for k, p, q in zip(range(i, T), u, v):
@@ -410,7 +418,7 @@ class TruncatedSeries:
                 for k, p, q in zip(range(i, T), u, v):
                     A[k] += x * p
                     B[k] += x * q
-        return _series(A, B, self._d * o._d)
+        return _series(A, B, s._d * o._d)
 
     __rmul__ = __mul__
 
@@ -552,8 +560,9 @@ class Mat2:
         return Mat2(((d, -b), (-c, a)))
 
     def is_unit(self) -> bool:
-        """Invertible over the local ring iff det has nonzero constant term."""
-        return self.det().is_unit()
+        """Invertible over the local ring iff det(0) = a0*d0 - b0*c0 is nonzero."""
+        (a, b), (c, d) = self.entries
+        return not (a[0] * d[0] - b[0] * c[0]).is_zero()
 
     def inverse(self) -> "Mat2":
         d = self.det()

@@ -5,6 +5,7 @@ interpreter itself matters (python -O, python -m, a hard timeout).
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -466,6 +467,26 @@ def test_local_verify_csv_and_determinism(capsys):
     assert code == 0
     assert first == second
     assert first.splitlines()[-1] == "# all_passed True"
+
+
+# sha256 of local-model-verify stdout, recorded while the suite still
+# checked P @ phi @ Q with dense products and drew its scalars as
+# Fractions: how an identity is checked must not change the report
+LOCAL_VERIFY_DIGESTS = {
+    ("json",): "9b0a9ab39e9b3234a6e05b6c97da22b087bf4d441b34bb2460fe667a53617648",
+    ("csv",): "ff1652d4d9cc67511000acb13940a153bfcf90584857dd067cb2175da318d3fc",
+    ("json", "--truncation", "32", "--cases", "3"):
+        "0486db18ff7e4904d02bc207512719e502d61b657634033d36253ca42c602e94",
+    ("csv", "--truncation", "32", "--cases", "3"):
+        "864c35f40795b21acac5ec86ea719fc43e77b68024996a6de1441fff7914ee6f",
+}
+
+
+@pytest.mark.parametrize("flags", list(LOCAL_VERIFY_DIGESTS), ids=" ".join)
+def test_local_verify_stdout_is_byte_identical(capsys, flags):
+    code, out, err = run(capsys, "local-model-verify", "--format", *flags)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LOCAL_VERIFY_DIGESTS[flags]
 
 
 def test_local_verify_failure_exits_two(capsys, monkeypatch):

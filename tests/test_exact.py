@@ -42,6 +42,16 @@ def mat2(order=ORDER):
 # scalars
 
 
+nonzero_ints = st.integers(min_value=-99, max_value=99).filter(bool)
+
+
+@given(st.integers(-99, 99), nonzero_ints, st.integers(-99, 99), nonzero_ints)
+def test_scalar_from_ratios_matches_fractions(p, q, r, s):
+    x = Scalar.from_ratios(p, q, r, s)
+    assert x == Scalar(Fraction(p, q), Fraction(r, s))
+    assert (x.a, x.b) == (Fraction(p, q), Fraction(r, s))
+
+
 def test_sqrt2_squares_to_two():
     assert Scalar.sqrt2() * Scalar.sqrt2() == Scalar.of(2)
 
@@ -221,6 +231,38 @@ def test_matrix_inverse():
     assert not singular.is_unit()
     with pytest.raises(NonUnitError):
         singular.inverse()
+
+
+@st.composite
+def rank_one_head_mat2(draw, order=ORDER):
+    """Four unit entries whose constant terms form a singular matrix."""
+    x0, x1, y0, y1 = (draw(nonzero_scalars) for _ in range(4))
+    heads = ((x0 * y0, x0 * y1), (x1 * y0, x1 * y1))
+    tails = st.lists(scalars, max_size=order - 1)
+    return Mat2(
+        tuple(
+            tuple(TruncatedSeries.from_coeffs([h] + draw(tails), order) for h in row)
+            for row in heads
+        )
+    )
+
+
+@given(st.one_of(mat2(), mat2(order=1), rank_one_head_mat2()))
+def test_matrix_is_unit_reads_the_determinant_constant_term(m):
+    assert m.is_unit() == m.det().is_unit()
+
+
+@given(rank_one_head_mat2())
+def test_unit_entries_with_singular_constant_part_are_not_a_unit(m):
+    assert all(e.is_unit() for row in m.entries for e in row)
+    assert not m.is_unit()
+
+
+@given(series(), st.integers(min_value=0, max_value=ORDER - 1))
+def test_product_with_a_monomial_shifts_either_way(s, k):
+    m = TruncatedSeries.monomial(k, ORDER)
+    shifted = TruncatedSeries.from_coeffs([Scalar.zero()] * k + list(s.coeffs[: ORDER - k]), ORDER)
+    assert s * m == shifted and m * s == shifted
 
 
 def test_matrix_order_mismatch():

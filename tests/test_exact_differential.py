@@ -134,6 +134,7 @@ def test_series_ring_ops_match_reference(data, order):
     assert_same_series(xn - yn, xo - yo)
     assert_same_series(-xn, -xo)
     assert_same_series(xn * yn, xo * yo)
+    assert_same_series(yn * xn, xo * yo)
     assert_same_series(xn * cn, xo * co)
     assert_same_series(Fraction(1, 3) - xn, Fraction(1, 3) - xo)
     assert (xn == yn) == (xo == yo)

@@ -3,7 +3,10 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import draw_reference
 from su12fiber.configuration import FiberPoint
 from su12fiber.errors import HeckeDatumError, SmithPreconditionError
 from su12fiber.exact import DEFAULT_ORDER, Mat2, Scalar, TruncatedSeries
@@ -214,6 +217,64 @@ def test_smith_transforms_are_exact_units():
         p, q = smith_form(phi)
         assert (p.inverse() @ p) == Mat2.identity(T)
         assert (q @ q.inverse()) == Mat2.identity(T)
+
+
+def _dense_smith_identity(phi, p, q):
+    # the identity as stated, with two dense products
+    one = TruncatedSeries.one(phi.order)
+    return p @ phi @ q == Mat2.diag(one, TruncatedSeries.zeta(phi.order)) and q.det() == one
+
+
+def _cut_top_coefficients(m):
+    return Mat2(
+        tuple(
+            tuple(TruncatedSeries.from_coeffs(e.coeffs[:-1], e.order) for e in row)
+            for row in m.entries
+        )
+    )
+
+
+def _perturbed_entry(rng, m):
+    # adds zeta^k below the top order, which P @ phi @ Q always notices
+    i, j, k = rng.randrange(2), rng.randrange(2), rng.randrange(m.order - 1)
+    entries = [list(row) for row in m.entries]
+    entries[i][j] = entries[i][j] + TruncatedSeries.monomial(k, m.order)
+    return Mat2(tuple(tuple(row) for row in entries))
+
+
+@pytest.mark.parametrize("order", [*range(2, 13), 16, 32])
+def test_adjugate_form_agrees_with_dense_smith_identity(order):
+    rng = Random(f"adjugate:{order}")
+    one = TruncatedSeries.one(order)
+    u = one + TruncatedSeries.zeta(order)  # a unit with u != 1
+    for _ in range(4):
+        phi = random_det_zeta_matrix(rng, order)
+        p, q = smith_form(phi)
+        assert local_model.is_smith_pair(phi, p, q) and _dense_smith_identity(phi, p, q)
+        corrupted = [
+            ("Q without its top coefficient", p, _cut_top_coefficients(q)),
+            ("one entry of P perturbed", _perturbed_entry(rng, p), q),
+            ("Q scaled by det u", p, q.scale_col(0, u)),
+            # P @ phi @ Q still equals diag(1, zeta); only det Q == 1 fails
+            ("Q scaled by det u, P compensating", Mat2.diag(u.inverse(), one) @ p, q.scale_col(0, u)),
+        ]
+        for name, pp, qq in corrupted:
+            expected = _dense_smith_identity(phi, pp, qq)
+            assert local_model.is_smith_pair(phi, pp, qq) == expected, name
+            if name != "Q without its top coefficient":
+                assert not expected, name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=1, max_value=16))
+def test_draws_match_the_fraction_reference(seed, order):
+    new, old = Random(seed), Random(seed)
+    for nonzero in (False, True, False):
+        s = local_model.random_scalar(new, nonzero=nonzero)
+        r = draw_reference.random_scalar(old, nonzero=nonzero)
+        assert s == r and (s.a, s.b) == (r.a, r.b)
+    assert local_model.random_series(new, order) == draw_reference.random_series(old, order)
+    assert new.getstate() == old.getstate()
 
 
 # contraction
