@@ -307,15 +307,15 @@ class TruncatedSeries:
 
     @staticmethod
     def constant(value: ScalarLike, order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs([Scalar.of(value)], order)
+        return TruncatedSeries.monomial(0, order, value)
 
     @staticmethod
     def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs([], order)
+        return TruncatedSeries.monomial(0, order, 0)
 
     @staticmethod
     def one(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.constant(1, order)
+        return TruncatedSeries.monomial(0, order)
 
     @staticmethod
     def zeta(order: int) -> "TruncatedSeries":
@@ -323,11 +323,13 @@ class TruncatedSeries:
 
     @staticmethod
     def monomial(k: int, order: int, value: ScalarLike = 1) -> "TruncatedSeries":
+        """value * zeta^k: the numerators of value at index k, zeros elsewhere."""
         if not 0 <= k < order:
             raise ValueError(f"exponent {k} out of range for order {order}")
-        coeffs = [Scalar.zero()] * order
-        coeffs[k] = Scalar.of(value)
-        return TruncatedSeries(coeffs)
+        v = Scalar.of(value)
+        a, b = [0] * order, [0] * order
+        a[k], b[k] = v._a, v._b
+        return _series(a, b, v._d)
 
     # inspection
 
@@ -470,7 +472,8 @@ class TruncatedSeries:
     @staticmethod
     def parse(values: Sequence[str], order: int | None = None) -> "TruncatedSeries":
         coeffs = [Scalar.parse(v) for v in values]
-        return TruncatedSeries.from_coeffs(coeffs, order or len(coeffs))
+        order = len(coeffs) if order is None else order
+        return TruncatedSeries.from_coeffs(coeffs, order)
 
     def __str__(self) -> str:
         parts = []

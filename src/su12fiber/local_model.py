@@ -2,10 +2,10 @@
 
 Everything here happens over the truncated local ring R = Q(sqrt2)[[zeta]]
 mod zeta^T at one marked point.  A covector xi on the rank-2 fiber cuts out
-the modified sheaf as the kernel of the evaluation map; the kernel is free
-with two explicit generators, and packing them into a 2x2 frame matrix
-normalized to determinant exactly zeta recovers the two Higgs components
-as its rows:
+the modified sheaf as the kernel of the evaluation map; the kernel is free,
+and hecke_frame writes down a 2x2 frame of it whose determinant is exactly
+zeta by construction, with no normalization step.  Its rows are the two
+Higgs components:
 
     eps = [[f2, -f1], [g1, g2]],   beta = (f1, f2),  gamma = (g1, g2),
 
@@ -81,50 +81,28 @@ def evaluate(xi: EvaluationCovector, section: SeriesPair) -> Scalar:
     return xi.xi0 * section[0].constant_term + xi.xi1 * section[1].constant_term
 
 
-# kernel generators and frame matrices
+# kernel frames and the Higgs components
 
 
-def hecke_kernel(
-    xi: EvaluationCovector, order: int = DEFAULT_ORDER
-) -> tuple[SeriesPair, SeriesPair]:
-    """Free generators of the kernel of the evaluation map.
+def hecke_frame(xi: EvaluationCovector, order: int = DEFAULT_ORDER) -> Mat2:
+    """Frame of the kernel of the evaluation map at xi, with determinant zeta.
 
-    For xi1 != 0 the kernel is spanned by (1, -xi0/xi1) and (0, zeta);
-    for xi1 == 0 by (0, 1) and (zeta, 0).  Either pair has determinant a
-    unit multiple of zeta, witnessing a simple modification.
+    The columns are free generators of the kernel.  For xi1 != 0 they are
+    (1, -xi0/xi1) and (0, zeta): the frame [[1, 0], [-xi0/xi1, zeta]] is
+    lower triangular with diagonal 1, zeta.  For xi1 == 0 they are (0, 1)
+    and (-zeta, 0): the frame [[0, -zeta], [1, 0]] has determinant
+    0 * 0 - (-zeta) * 1.  Either way the determinant is zeta exactly, a
+    simple zero, so the frame needs no normalization.
     """
     if order < 2:
         raise ValueError("truncation order must be >= 2 to represent zeta")
     one = TruncatedSeries.one(order)
     zero = TruncatedSeries.zero(order)
     zeta = TruncatedSeries.zeta(order)
-    if not xi.xi1.is_zero():
-        slope = TruncatedSeries.constant(-(xi.xi0 / xi.xi1), order)
-        return (one, slope), (zero, zeta)
-    return (zero, one), (zeta, zero)
-
-
-def kernel_frame_matrix(gen1: SeriesPair, gen2: SeriesPair) -> Mat2:
-    """Columns gen1, gen2, normalized so the determinant is exactly zeta.
-
-    The input determinant must be a unit multiple of zeta (a simple zero).
-    The unit is divided out of the second column; a determinant that is a
-    unit, or vanishes to order two or more, is not a simple-zero Hecke
-    datum and is rejected.
-    """
-    eps0 = Mat2.from_cols(gen1, gen2)
-    d = eps0.det()
-    if d.is_unit():
-        raise HeckeDatumError("generator determinant is a unit, no modification")
-    if d.order < 2 or d[1].is_zero():
-        raise HeckeDatumError(
-            "generator determinant vanishes to order >= 2, not a simple zero"
-        )
-    u = d.div_zeta()  # d == zeta * u exactly, u a unit
-    eps = eps0.scale_col(1, u.inverse())
-    if eps.det() != TruncatedSeries.zeta(eps.order):
-        raise InternalInconsistencyError("normalization failed to reach det = zeta")
-    return eps
+    if xi.xi1.is_zero():
+        return Mat2(((zero, -zeta), (one, zero)))
+    slope = TruncatedSeries.constant(-(xi.xi0 / xi.xi1), order)
+    return Mat2(((one, zero), (slope, zeta)))
 
 
 @dataclass(frozen=True)
@@ -160,11 +138,6 @@ def higgs_from_kernel_frame(eps: Mat2) -> LocalHiggs:
 def kernel_frame_from_higgs(h: LocalHiggs) -> Mat2:
     """Inverse packing of higgs_from_kernel_frame."""
     return Mat2(((h.beta[1], -h.beta[0]), (h.gamma[0], h.gamma[1])))
-
-
-def hecke_frame(xi: EvaluationCovector, order: int = DEFAULT_ORDER) -> Mat2:
-    """Kernel generators of xi packed and normalized in one step."""
-    return kernel_frame_matrix(*hecke_kernel(xi, order))
 
 
 def higgs_vanishing_matches_point(xi: EvaluationCovector, h: LocalHiggs) -> bool:

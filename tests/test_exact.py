@@ -194,6 +194,17 @@ def test_series_string_round_trip():
     assert TruncatedSeries.parse(s.to_strings()) == s
 
 
+def test_series_parse_order():
+    assert TruncatedSeries.parse(["1", "2"]).order == 2
+    assert TruncatedSeries.parse(["1"], 3) == TruncatedSeries.one(3)
+    # an explicit order 0 is an order, not "not given", and admits no coefficient
+    for order in (0, 1):
+        with pytest.raises(ValueError):
+            TruncatedSeries.parse(["1", "2"], order)
+    with pytest.raises(ValueError):
+        TruncatedSeries.parse([], 0)
+
+
 # matrices
 
 

@@ -192,6 +192,55 @@ def test_mat2_matches_reference(data, order):
     assert_same_mat(left @ right, left_ref @ right_ref)
 
 
+# series constants
+
+
+def _triple(s):
+    # the packed representation: numerators and shared denominator, lowest terms
+    return s._a, s._b, s._d
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), scalar_pairs(), st.integers(min_value=1, max_value=32))
+def test_series_constants_match_reference(data, value, order):
+    k = data.draw(st.integers(min_value=0, max_value=order - 1))
+    zero = (exact.Scalar(0), ref.Scalar(0))
+    for vn, vo in (value, zero):
+        cases = [
+            (exact.TruncatedSeries.zero(order), ref.TruncatedSeries.zero(order), []),
+            (exact.TruncatedSeries.one(order), ref.TruncatedSeries.one(order), [1]),
+            (
+                exact.TruncatedSeries.constant(vn, order),
+                ref.TruncatedSeries.constant(vo, order),
+                [vn],
+            ),
+            (
+                exact.TruncatedSeries.monomial(k, order, vn),
+                ref.TruncatedSeries.monomial(k, order, vo),
+                [0] * k + [vn],
+            ),
+        ]
+        if order >= 2:
+            zeta = exact.TruncatedSeries.zeta(order), ref.TruncatedSeries.zeta(order)
+            cases.append((*zeta, [0, 1]))
+        for new, old, head in cases:
+            assert_same_series(new, old)
+            padded = exact.TruncatedSeries.from_coeffs(head, order)
+            assert _triple(new) == _triple(padded)
+        for bad in (-1, order):
+            with pytest.raises(ValueError):
+                exact.TruncatedSeries.monomial(bad, order, vn)
+    for make in (
+        exact.TruncatedSeries.zero,
+        exact.TruncatedSeries.one,
+        exact.TruncatedSeries.zeta,
+        lambda n: exact.TruncatedSeries.constant(value[0], n),
+        lambda n: exact.TruncatedSeries.monomial(0, n, value[0]),
+    ):
+        with pytest.raises(ValueError):
+            make(0)
+
+
 # literals
 
 digits = st.integers(min_value=0, max_value=10**30).map(str)

@@ -18,10 +18,8 @@ from su12fiber.local_model import (
     dual_wedge_contraction,
     evaluate,
     hecke_frame,
-    hecke_kernel,
     higgs_from_kernel_frame,
     higgs_vanishing_matches_point,
-    kernel_frame_matrix,
     normal_form_check,
     random_covector,
     random_det_zeta_matrix,
@@ -62,42 +60,63 @@ def test_covector_fiber_point_round_trip():
     assert EvaluationCovector(sc(14), sc(2)).fiber_point() == FiberPoint.finite(sc(7))
 
 
-# kernel generators
+# kernel frames
 
 
-def test_kernel_generators_match_construction():
-    g1, g2 = hecke_kernel(EvaluationCovector(sc(1), sc(1)), T)
-    assert g1 == (ONE, -ONE) and g2 == (ZERO, ZETA)
-    g1, g2 = hecke_kernel(EvaluationCovector(sc(0), sc(1)), T)
-    assert g1 == (ONE, ZERO) and g2 == (ZERO, ZETA)
-    g1, g2 = hecke_kernel(EvaluationCovector(sc(1), sc(0)), T)
-    assert g1 == (ZERO, ONE) and g2 == (ZETA, ZERO)
+FRAME_ORDERS = [*range(2, 13), 16, 32]
 
 
-def test_generators_evaluate_to_zero():
+def _frame(order, *rows):
+    # each entry is given by its leading coefficients, zero-padded to the order
+    return Mat2(
+        tuple(
+            tuple(TruncatedSeries.from_coeffs([sc(c) for c in e], order) for e in row)
+            for row in rows
+        )
+    )
+
+
+def test_hecke_frame_pins_exact_frames():
+    t = Scalar.from_ratios(3, 5, -2, 7)  # the finite point 3/5 - 2/7*sqrt2
+    for order in FRAME_ORDERS:
+        cases = [
+            ((sc(1), sc(1)), _frame(order, ([1], []), ([-1], [0, 1]))),
+            ((sc(0), sc(1)), _frame(order, ([1], []), ([], [0, 1]))),
+            ((sc(1), sc(0)), _frame(order, ([], [0, -1]), ([1], []))),
+            ((t, sc(1)), _frame(order, ([1], []), ([-t], [0, 1]))),
+        ]
+        for (xi0, xi1), expected in cases:
+            assert hecke_frame(EvaluationCovector(xi0, xi1), order) == expected, (order, xi0)
+
+
+def test_frame_columns_evaluate_to_zero():
     rng = Random(11)
     for _ in range(40):
         xi = random_covector(rng)
-        for gen in hecke_kernel(xi, T):
-            assert evaluate(xi, gen).is_zero()
+        eps = hecke_frame(xi, T)
+        assert evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero()
 
 
-def test_frame_normalization_divides_out_the_unit():
-    # the [1:0] generators come in with determinant -zeta
-    g1, g2 = hecke_kernel(EvaluationCovector(sc(1), sc(0)), T)
-    assert Mat2.from_cols(g1, g2).det() == -ZETA
-    eps = kernel_frame_matrix(g1, g2)
-    assert eps.det() == ZETA
+def test_frame_determinant_is_exactly_zeta():
+    rng = Random(12)
+    for order in FRAME_ORDERS:
+        for _ in range(4):
+            assert hecke_frame(random_covector(rng), order).det() == TruncatedSeries.zeta(order)
+
+
+def test_frame_rejects_order_one():
+    with pytest.raises(ValueError):
+        hecke_frame(EvaluationCovector(sc(1), sc(1)), 1)
 
 
 def test_frame_rejects_unit_determinant():
     with pytest.raises(HeckeDatumError):
-        kernel_frame_matrix((ONE, ZERO), (ZERO, ONE))
+        higgs_from_kernel_frame(Mat2.identity(T))
 
 
 def test_frame_rejects_double_zero():
     with pytest.raises(HeckeDatumError):
-        kernel_frame_matrix((ZETA, ZERO), (ZERO, ZETA))  # det = zeta^2
+        higgs_from_kernel_frame(Mat2.diag(ZETA, ZETA))  # det = zeta^2
 
 
 def test_higgs_round_trip_both_ways():
@@ -105,8 +124,14 @@ def test_higgs_round_trip_both_ways():
 
 
 def test_higgs_requires_det_zeta_frame():
-    with pytest.raises(HeckeDatumError):
-        higgs_from_kernel_frame(Mat2.identity(T))
+    frames = [
+        Mat2.identity(T),  # det 1: a unit, no modification
+        Mat2.diag(ZETA, ZETA),  # det zeta^2: not a simple zero
+        Mat2(((ZERO, ZETA), (ONE, ZERO))),  # det -zeta: off by the unit -1
+    ]
+    for frame in frames:
+        with pytest.raises(HeckeDatumError):
+            higgs_from_kernel_frame(frame)
 
 
 def test_vanishing_pattern_per_point_type():
