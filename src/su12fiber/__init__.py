@@ -4,7 +4,7 @@ Submodules:
   exact          arithmetic kernels (Q(sqrt2), truncated series, 2x2 matrices)
   stability      numerical stability of vanishing-locus partitions, census
   configuration  point configurations on (P^1)^N and the torus action
-  git_engine     invariant-monomial classification, S-equivalence, charts
+  git_engine     invariant-monomial classification, S-equivalence
   local_model    Hecke kernels, Smith reduction, Higgs normal forms
   cli            command line front end
 

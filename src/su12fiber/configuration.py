@@ -13,7 +13,8 @@ question, and the correspondence with vanishing loci is
     slot at [0:1]   the gamma component vanishes there
     slot at [1:0]   the beta component vanishes there
 
-so stratum_of turns a configuration into a labeled partition directly.
+so n_zero and n_inf are the part sizes d_gamma and d_beta of the
+stability classification.
 All slot indices are 0-based.
 """
 
@@ -25,7 +26,6 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .errors import InvalidScaleError, LengthMismatchError, NotOnBoundaryError
 from .exact import Scalar
-from .stability import Label, LabeledPartition
 
 
 class PointKind(Enum):
@@ -120,19 +120,6 @@ def mark_data(c: Configuration) -> MarkData:
     return MarkData(zeros, infs)
 
 
-def stratum_of(c: Configuration) -> LabeledPartition:
-    """Labeled partition recording, slot by slot, which component vanishes."""
-    labels = []
-    for point in c.points:
-        if point.is_zero():
-            labels.append(Label.GAMMA)
-        elif point.is_infinity():
-            labels.append(Label.BETA)
-        else:
-            labels.append(Label.REST)
-    return LabeledPartition.of(labels)
-
-
 def act(scale, c: Configuration) -> Configuration:
     """Torus action: every finite coordinate is multiplied by scale."""
     s = Scalar.of(scale)
@@ -142,28 +129,6 @@ def act(scale, c: Configuration) -> Configuration:
         FiberPoint.finite(s * p.t) if p.is_finite() else p for p in c.points
     )
     return Configuration(c.base, points)
-
-
-def orbit_equivalent(x: Configuration, y: Configuration) -> Optional[Scalar]:
-    """The unique scale c with act(c, x) == y, or None.
-
-    Orbit membership needs the same base label, the same per-slot mark
-    pattern, and one common ratio across all finite slots.  Two equal
-    fully-marked configurations give c = 1.
-    """
-    if x.base != y.base or x.size != y.size:
-        return None
-    ratio: Optional[Scalar] = None
-    for px, py in zip(x.points, y.points):
-        if px.kind is not py.kind:
-            return None
-        if px.is_finite():
-            r = py.t / px.t
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-    return ratio if ratio is not None else Scalar.one()
 
 
 def saturate_limit(c: Configuration, n: int, N: int) -> Configuration:

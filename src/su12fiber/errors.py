@@ -25,13 +25,9 @@ class NotOnBoundaryError(ValueError):
     """Fixed-point limits exist only for strictly semistable configurations."""
 
 
-class NoChartError(ValueError):
-    """Affine charts exist only over the stable locus."""
-
-
 class HeckeDatumError(ValueError):
-    """Kernel generators whose determinant is not a unit multiple of zeta
-    do not come from a simple-zero Hecke modification."""
+    """A kernel frame whose determinant is not exactly zeta: the Higgs
+    components are read only off a frame of a simple-zero modification."""
 
 
 class SmithPreconditionError(ValueError):

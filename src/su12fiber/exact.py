@@ -346,13 +346,6 @@ class TruncatedSeries:
     def is_unit(self) -> bool:
         return bool(self._a[0] or self._b[0])
 
-    def valuation(self) -> int | None:
-        """Index of the lowest nonzero coefficient, None for the zero class."""
-        for k, (x, y) in enumerate(zip(self._a, self._b)):
-            if x or y:
-                return k
-        return None
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not TruncatedSeries:
             return NotImplemented
@@ -464,17 +457,6 @@ class TruncatedSeries:
             raise NonUnitError("constant term must vanish for exact zeta division")
         return _series(self._a[1:] + (0,), self._b[1:] + (0,), self._d)
 
-    # serialization
-
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
-
-    @staticmethod
-    def parse(values: Sequence[str], order: int | None = None) -> "TruncatedSeries":
-        coeffs = [Scalar.parse(v) for v in values]
-        order = len(coeffs) if order is None else order
-        return TruncatedSeries.from_coeffs(coeffs, order)
-
     def __str__(self) -> str:
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -541,10 +523,6 @@ class Mat2:
         return self.with_col(j, (c[0] * factor, c[1] * factor))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
         return Mat2(
@@ -566,19 +544,6 @@ class Mat2:
         """Invertible over the local ring iff det(0) = a0*d0 - b0*c0 is nonzero."""
         (a, b), (c, d) = self.entries
         return not (a[0] * d[0] - b[0] * c[0]).is_zero()
-
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        if not d.is_unit():
-            raise NonUnitError("matrix determinant is not a unit")
-        dinv = d.inverse()
-        adj = self.adjugate()
-        return Mat2(
-            (
-                (adj[0][0] * dinv, adj[0][1] * dinv),
-                (adj[1][0] * dinv, adj[1][1] * dinv),
-            )
-        )
 
     def __str__(self) -> str:
         (a, b), (c, d) = self.entries

@@ -45,8 +45,8 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .configuration import Configuration, act, mark_data, saturate_limit
-from .errors import LengthMismatchError, NoChartError
-from .stability import ModuliParams, StabilityClass
+from .errors import LengthMismatchError
+from .stability import ModuliParams
 
 
 class GitClass(Enum):
@@ -89,39 +89,6 @@ class Linearization:
 MonomialIndex = tuple[int, ...]
 
 
-def _check_monomial(m: Sequence[int], lin: Linearization) -> None:
-    if len(m) != lin.N:
-        raise LengthMismatchError(f"exponent vector has {len(m)} slots, expected {lin.N}")
-    for j, mj in enumerate(m):
-        if not 0 <= mj <= lin.cap:
-            raise ValueError(f"exponent m[{j}] = {mj} outside [0, {lin.cap}]")
-
-
-def is_invariant(m: Sequence[int], lin: Linearization) -> bool:
-    """Torus invariance is the balancing condition sum(m) == N*r*n."""
-    _check_monomial(m, lin)
-    return sum(m) == lin.target
-
-
-def saturated_slots(m: Sequence[int], lin: Linearization) -> tuple[frozenset[int], frozenset[int]]:
-    """Slots at the top exponent N*r and at the bottom exponent 0."""
-    _check_monomial(m, lin)
-    top = frozenset(j for j, mj in enumerate(m) if mj == lin.cap)
-    bottom = frozenset(j for j, mj in enumerate(m) if mj == 0)
-    return top, bottom
-
-
-def monomial_nonvanishing(m: Sequence[int], c: Configuration, lin: Linearization) -> bool:
-    """Nonvanishing at c: every [0:1] slot saturated top, every [1:0] slot bottom."""
-    _check_monomial(m, lin)
-    if c.size != lin.N:
-        raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
-    marks = mark_data(c)
-    return all(m[j] == lin.cap for j in marks.zero_slots) and all(
-        m[j] == 0 for j in marks.infinity_slots
-    )
-
-
 def classify_closed_form(c: Configuration, lin: Linearization) -> GitClass:
     """Mark-count classification: strict bounds give stability, weak semistability."""
     if c.size != lin.N:
@@ -133,42 +100,6 @@ def classify_closed_form(c: Configuration, lin: Linearization) -> GitClass:
     if n1 <= lin.n and n2 <= lin.N - lin.n:
         return GitClass.STRICTLY_SEMISTABLE
     return GitClass.UNSTABLE
-
-
-def affine_chart(
-    c: Configuration, p: ModuliParams
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Deterministic chart partition (I1, I2, I3) around a stable-locus point.
-
-    Sizes are |I1| = n - 1, |I2| = N - n - 1, |I3| = 2 with membership
-    constraints: no [1:0] slot in I1, no [0:1] slot in I2, only finite
-    slots in I3.  Greedy, lowest indices first: I3 takes the two lowest
-    finite slots; I1 takes every [0:1] slot (nothing else can absorb them)
-    then fills up with the lowest remaining finite slots; I2 gets the rest.
-    A stable-locus point always has enough room in each part.  The stable
-    locus is empty when n lies outside [0, N], where no linearization
-    exists.
-    """
-    try:
-        lin = Linearization.for_moduli(p)
-    except ValueError:
-        lin = None
-    if lin is None or classify_closed_form(c, lin) is not GitClass.STABLE:
-        raise NoChartError("affine charts exist only over the stable locus")
-    n, N = p.n, p.N
-    finite = [j for j, pt in enumerate(c.points) if pt.is_finite()]
-    zeros = [j for j, pt in enumerate(c.points) if pt.is_zero()]
-
-    i3 = finite[:2]
-    i1 = list(zeros)
-    for j in finite[2:]:
-        if len(i1) >= n - 1:
-            break
-        i1.append(j)
-    i1.sort()
-    used = set(i3) | set(i1)
-    i2 = [j for j in range(N) if j not in used]
-    return tuple(i1), tuple(i2), tuple(i3)
 
 
 def composition_count(total: int, cap: int, length: int) -> int:
@@ -383,12 +314,3 @@ def s_equivalence_representative(c: Configuration, lin: Linearization) -> Config
         if point.is_finite():
             return act(point.t.inverse(), c)
     return c  # unreachable for stable configurations, kept total
-
-
-def git_class_of_stability(s: StabilityClass) -> GitClass:
-    """Dictionary between partition stability and torus-quotient classes."""
-    if s is StabilityClass.STABLE:
-        return GitClass.STABLE
-    if s in (StabilityClass.STRICTLY_POLYSTABLE, StabilityClass.SEMISTABLE_NOT_POLYSTABLE):
-        return GitClass.STRICTLY_SEMISTABLE
-    return GitClass.UNSTABLE

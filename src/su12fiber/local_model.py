@@ -60,14 +60,6 @@ class EvaluationCovector:
         object.__setattr__(self, "xi0", scale * xi0)
         object.__setattr__(self, "xi1", scale * xi1)
 
-    @staticmethod
-    def from_fiber_point(p: FiberPoint) -> "EvaluationCovector":
-        if p.is_zero():
-            return EvaluationCovector(Scalar.zero(), Scalar.one())
-        if p.is_infinity():
-            return EvaluationCovector(Scalar.one(), Scalar.zero())
-        return EvaluationCovector(p.t, Scalar.one())
-
     def fiber_point(self) -> FiberPoint:
         if self.xi0.is_zero():
             return FiberPoint.zero()

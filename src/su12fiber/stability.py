@@ -22,17 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import InvalidGenusError, LengthMismatchError
-
-
-class Label(Enum):
-    """Which Higgs component vanishes at a marked point."""
-
-    BETA = "beta"
-    GAMMA = "gamma"
-    REST = "rest"
+from .errors import InvalidGenusError
 
 
 class StabilityClass(Enum):
@@ -91,33 +83,6 @@ def milnor_wood_admits_stable(g: int, d: int) -> bool:
     return abs(p.d) < p.g - 1
 
 
-@dataclass(frozen=True)
-class LabeledPartition:
-    """Per-slot labels of the N marked points."""
-
-    labels: tuple[Label, ...]
-
-    @staticmethod
-    def of(labels: Iterable[Label]) -> "LabeledPartition":
-        return LabeledPartition(tuple(labels))
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    @property
-    def d_beta(self) -> int:
-        return sum(1 for v in self.labels if v is Label.BETA)
-
-    @property
-    def d_gamma(self) -> int:
-        return sum(1 for v in self.labels if v is Label.GAMMA)
-
-    @property
-    def d_r(self) -> int:
-        return sum(1 for v in self.labels if v is Label.REST)
-
-
 def classify_counts(p: ModuliParams, d_beta: int, d_gamma: int) -> StabilityClass:
     """Classification from the part sizes alone (labels never matter)."""
     if d_beta < 0 or d_gamma < 0 or d_beta + d_gamma > p.N:
@@ -131,25 +96,6 @@ def classify_counts(p: ModuliParams, d_beta: int, d_gamma: int) -> StabilityClas
     if d_gamma <= p.gamma_bound and d_beta <= p.beta_bound:
         return StabilityClass.SEMISTABLE_NOT_POLYSTABLE
     return StabilityClass.UNSTABLE
-
-
-def classify_partition(p: ModuliParams, part: LabeledPartition) -> StabilityClass:
-    if part.size != p.N:
-        raise LengthMismatchError(
-            f"partition has {part.size} slots, expected N = {p.N}"
-        )
-    return classify_counts(p, part.d_beta, part.d_gamma)
-
-
-def stratum_dimension(p: ModuliParams, part: LabeledPartition) -> int:
-    """Dimension g + d_r of the stable stratum containing the partition.
-
-    Only stable partitions lie in a stratum of the fiber; anything else
-    is a domain error.
-    """
-    if classify_partition(p, part) is not StabilityClass.STABLE:
-        raise ValueError("stratum dimension is defined for stable partitions only")
-    return p.g + part.d_r
 
 
 def polystable_split_degrees(p: ModuliParams) -> tuple[int, int]:

@@ -15,9 +15,7 @@ from su12fiber.configuration import (
     FiberPoint,
     act,
     mark_data,
-    orbit_equivalent,
     saturate_limit,
-    stratum_of,
 )
 from su12fiber.exact import DEFAULT_ORDER, Scalar
 from su12fiber.git_engine import (
@@ -27,13 +25,19 @@ from su12fiber.git_engine import (
     classify_bruteforce,
     classify_closed_form,
     composition_count,
+    s_equivalence_representative,
+)
+from su12fiber.stability import ModuliParams, StabilityClass, census
+
+from paper_reference import (
+    classify_partition,
     git_class_of_stability,
     is_invariant,
     monomial_nonvanishing,
-    s_equivalence_representative,
+    orbit_equivalent,
     saturated_slots,
+    stratum_of,
 )
-from su12fiber.stability import ModuliParams, StabilityClass, census, classify_partition
 
 G2D0 = ModuliParams(2, 0)
 

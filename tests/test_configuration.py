@@ -11,20 +11,15 @@ from su12fiber.configuration import (
     config_from_json,
     config_to_json,
     mark_data,
-    orbit_equivalent,
     point_from_json,
     saturate_limit,
-    stratum_of,
 )
-from su12fiber.errors import (
-    InvalidScaleError,
-    LengthMismatchError,
-    NoChartError,
-    NotOnBoundaryError,
-)
+from su12fiber.errors import InvalidScaleError, LengthMismatchError, NotOnBoundaryError
 from su12fiber.exact import Scalar
-from su12fiber.git_engine import GitClass, Linearization, affine_chart, classify_closed_form
-from su12fiber.stability import Label, ModuliParams
+from su12fiber.git_engine import GitClass, Linearization, classify_closed_form
+from su12fiber.stability import ModuliParams
+
+from paper_reference import Label, NoChartError, affine_chart, orbit_equivalent, stratum_of
 
 G2D0 = ModuliParams(2, 0)
 LIN = Linearization.for_moduli(G2D0)

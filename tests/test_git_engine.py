@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su12fiber.configuration import Configuration, FiberPoint, act, mark_data, stratum_of
+from su12fiber.configuration import Configuration, FiberPoint, act, mark_data
 from su12fiber.errors import LengthMismatchError
 from su12fiber.git_engine import (
     BruteForceOutcome,
@@ -17,18 +17,22 @@ from su12fiber.git_engine import (
     classify_bruteforce,
     classify_closed_form,
     composition_count,
-    git_class_of_stability,
-    is_invariant,
-    monomial_nonvanishing,
     s_equivalence_representative,
-    saturated_slots,
 )
-from su12fiber.stability import ModuliParams, StabilityClass, classify_partition
+from su12fiber.stability import ModuliParams, StabilityClass
 from su12fiber.exact import Scalar
 
 from bruteforce_reference import bruteforce_search as full_sweep
 from bruteforce_reference import composition_count as table_count
 from bruteforce_reference import lex_rank as unit_rank
+from paper_reference import (
+    classify_partition,
+    git_class_of_stability,
+    is_invariant,
+    monomial_nonvanishing,
+    saturated_slots,
+    stratum_of,
+)
 
 G2D0 = ModuliParams(2, 0)
 LIN = Linearization.for_moduli(G2D0)

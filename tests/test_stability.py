@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 from su12fiber.errors import InvalidGenusError, LengthMismatchError
 from su12fiber.stability import (
     CensusResult,
-    Label,
-    LabeledPartition,
     ModuliParams,
     StabilityClass,
     census,
     classify_counts,
-    classify_partition,
     milnor_wood_admits_stable,
     polystable_split_degrees,
-    stratum_dimension,
 )
+
+from paper_reference import Label, LabeledPartition, classify_partition, stratum_dimension
 
 G2D0 = ModuliParams(2, 0)
 
