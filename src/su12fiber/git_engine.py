@@ -57,33 +57,20 @@ class GitClass(Enum):
 
 @dataclass(frozen=True)
 class Linearization:
-    """Slot count N, weight parameter n, and polarization power r."""
+    """Slot count N and weight parameter n; the power r is swept separately."""
 
     n: int
     N: int
-    r: int = 1
 
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError(f"need at least one slot, got N = {self.N}")
         if not 0 <= self.n <= self.N:
             raise ValueError(f"weight parameter n = {self.n} outside [0, {self.N}]")
-        if self.r < 1:
-            raise ValueError(f"polarization power must be >= 1, got {self.r}")
 
     @staticmethod
     def for_moduli(p: ModuliParams) -> "Linearization":
         return Linearization(p.n, p.N)
-
-    @property
-    def cap(self) -> int:
-        """Componentwise exponent bound N * r."""
-        return self.N * self.r
-
-    @property
-    def target(self) -> int:
-        """Balanced total weight N * r * n."""
-        return self.N * self.r * self.n
 
 
 MonomialIndex = tuple[int, ...]

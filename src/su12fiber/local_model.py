@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Optional
+from typing import Callable
 
 from .configuration import FiberPoint
 from .errors import (
@@ -250,61 +250,22 @@ def _covector_pullback(ell: ScalarVec, mu: ScalarMat) -> ScalarVec:
     )
 
 
-@dataclass(frozen=True)
-class ContractionReport:
-    image: ScalarVec
-    basis_images: tuple[ScalarVec, ScalarVec]
-    determinant_identification: Scalar
-    naturality_holds: Optional[bool]
+def contraction_is_natural(ell: ScalarVec, wedge: Scalar, mu: ScalarMat) -> bool:
+    """Whether the change-of-basis square for an invertible mu commutes.
 
-    def all_passed(self) -> bool:
-        det_ok = self.determinant_identification == Scalar.one()
-        return det_ok and self.naturality_holds is not False
-
-
-def contraction_report(
-    ell: ScalarVec, wedge: Scalar, mu: Optional[ScalarMat] = None
-) -> ContractionReport:
-    """Evaluate the contraction, its determinant identification, and the
-    change-of-basis naturality square for an optional invertible mu.
-
-    The images of the two basis covectors assemble to a matrix of
-    determinant 1, which is the statement that the induced map on wedge
-    squares is the identity.  For mu the square reads: pulling ell back
-    through mu, dividing the wedge by det(mu), contracting, and pushing
-    forward through mu reproduces the direct contraction.
+    The square reads: pulling ell back through mu, dividing the wedge by
+    det(mu), contracting, and pushing forward through mu reproduces the
+    direct contraction.
     """
-    image = dual_wedge_contraction(ell, wedge)
-    e0 = dual_wedge_contraction((Scalar.one(), Scalar.zero()), Scalar.one())
-    e1 = dual_wedge_contraction((Scalar.zero(), Scalar.one()), Scalar.one())
-    det_ident = e0[0] * e1[1] - e1[0] * e0[1]
-
-    naturality: Optional[bool] = None
-    if mu is not None:
-        det_mu = _scalar_mat_det(mu)
-        if det_mu.is_zero():
-            raise ValueError("naturality requires an invertible change of basis")
-        pulled = _covector_pullback(ell, mu)
-        routed = _scalar_mat_apply(
-            mu, dual_wedge_contraction(pulled, Scalar.of(wedge) / det_mu)
-        )
-        naturality = routed == image
-    return ContractionReport(image, (e0, e1), det_ident, naturality)
+    det_mu = _scalar_mat_det(mu)
+    if det_mu.is_zero():
+        raise ValueError("naturality requires an invertible change of basis")
+    pulled = _covector_pullback(ell, mu)
+    routed = _scalar_mat_apply(mu, dual_wedge_contraction(pulled, Scalar.of(wedge) / det_mu))
+    return routed == dual_wedge_contraction(ell, wedge)
 
 
 # the sigma-frame normal form
-
-
-@dataclass(frozen=True)
-class NormalFormReport:
-    frame_cube: Scalar
-    order: int
-    kernel_frame: Mat2
-    higgs: LocalHiggs
-    checks: tuple[tuple[str, bool], ...]
-
-    def all_passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
 
 
 def _normal_form_data(order: int) -> tuple[EvaluationCovector, Mat2, LocalHiggs]:
@@ -317,43 +278,33 @@ def _normal_form_data(order: int) -> tuple[EvaluationCovector, Mat2, LocalHiggs]
     return xi, eps, higgs_from_kernel_frame(eps)
 
 
-def _frame_cube(b) -> Scalar:
-    b_scalar = Scalar.of(b)
-    if b_scalar.is_zero():
-        raise ValueError("the frame normalization s0^3 = b needs b != 0")
-    return b_scalar
-
-
-def normal_form_check(b, order: int = DEFAULT_ORDER) -> NormalFormReport:
+def normal_form_check(order: int) -> tuple[tuple[str, bool], ...]:
     """Exact verification of the sigma-frame normal form at one point.
 
     In the frames sigma1, sigma2 normalized by s0^3 = b the kernel basis is
     eta1 = (zeta/sqrt2)(sigma1 + sigma2), eta2 = (1/sqrt2)(-sigma1 + sigma2),
     giving the frame (1/sqrt2) [[zeta, -1], [zeta, 1]] with determinant
     zeta, beta = (1/sqrt2)(1, zeta), gamma = (1/sqrt2)(zeta, 1), and
-    gamma . beta = zeta.  The normalization scalar b only fixes the frame
-    and cancels from every matrix: b enters none of the data checked, so
-    one check of the frame at an order covers every admissible b.
+    gamma . beta = zeta.  The scale b only fixes the frames and cancels
+    from every datum checked, so this one check at an order stands for
+    every b != 0.  Returns the named identities with whether each holds.
     """
-    b_scalar = _frame_cube(b)
     if order < 2:
         raise ValueError("truncation order must be >= 2 to represent zeta")
 
     xi, eps, higgs = _normal_form_data(order)
     zeta = TruncatedSeries.zeta(order)
     inv_rt2 = TruncatedSeries.constant(Scalar.sqrt2().inverse(), order)
-    checks = []
-    checks.append(
+    return (
         (
             "kernel_membership",
             evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero(),
-        )
+        ),
+        ("determinant_is_zeta", eps.det() == zeta),
+        ("beta_normal_form", higgs.beta == (inv_rt2, zeta * inv_rt2)),
+        ("gamma_normal_form", higgs.gamma == (zeta * inv_rt2, inv_rt2)),
+        ("gamma_beta_is_zeta", higgs.gamma_beta() == zeta),
     )
-    checks.append(("determinant_is_zeta", eps.det() == zeta))
-    checks.append(("beta_normal_form", higgs.beta == (inv_rt2, zeta * inv_rt2)))
-    checks.append(("gamma_normal_form", higgs.gamma == (zeta * inv_rt2, inv_rt2)))
-    checks.append(("gamma_beta_is_zeta", higgs.gamma_beta() == zeta))
-    return NormalFormReport(b_scalar, order, eps, higgs, tuple(checks))
 
 
 # randomized self-verification, shared by the test suite and the CLI
@@ -471,14 +422,22 @@ def _check_hecke_round_trip(rng: Random, order: int, cases: int) -> str:
 
 
 def _check_normal_form(rng: Random, order: int, cases: int) -> str:
-    scales = [_frame_cube(random_scalar(rng, nonzero=True)) for _ in range(max(cases, 1))]
-    # b enters no checked datum, so one frame check covers every b drawn
-    failed = [name for name, ok in normal_form_check(scales[0], order).checks if not ok]
-    _require(not failed, f"b = {scales[0]} at order {order}: {', '.join(failed)} failed")
-    return f"{max(cases, 1)} frame normalizations at order {order}"
+    # b cancels from every checked datum, so one check stands for every scale b
+    failed = [name for name, ok in normal_form_check(order) if not ok]
+    _require(not failed, f"order {order}: {', '.join(failed)} failed")
+    return f"{cases} frame normalizations at order {order}"
 
 
 def _check_contraction_naturality(rng: Random, order: int, cases: int) -> str:
+    # the images of the basis covectors at wedge 1 assemble to a matrix of
+    # determinant 1: the induced map on wedge squares is the identity
+    one, zero = Scalar.one(), Scalar.zero()
+    basis_images = (
+        dual_wedge_contraction((one, zero), one),
+        dual_wedge_contraction((zero, one), one),
+    )
+    det = _scalar_mat_det(basis_images)
+    _require(det == one, f"determinant identification failed: the basis images have det {det}")
     for k in range(cases):
         while True:
             mu = (
@@ -489,17 +448,11 @@ def _check_contraction_naturality(rng: Random, order: int, cases: int) -> str:
                 break
         ell = (random_scalar(rng), random_scalar(rng))
         wedge = random_scalar(rng, nonzero=True)
-        _require(
-            contraction_report(ell, wedge, mu).all_passed(),
-            f"case {k}: determinant identification or naturality failed",
-        )
-    canonical = contraction_report(
-        (Scalar.one(), Scalar.zero()),
-        Scalar.one(),
-        ((Scalar.of(2), Scalar.zero()), (Scalar.zero(), Scalar.one())),
-    )
+        _require(contraction_is_natural(ell, wedge, mu), f"case {k}: naturality failed")
+    diag_2_1 = ((Scalar.of(2), zero), (zero, one))
     _require(
-        canonical.image == (Scalar.zero(), -Scalar.one()) and canonical.all_passed(),
+        basis_images[0] == (zero, -one)
+        and contraction_is_natural((one, zero), one, diag_2_1),
         "the basis covector (1, 0) under diag(2, 1) contracts wrongly",
     )
     return f"{cases} random changes of basis"
@@ -515,7 +468,7 @@ _SUITE: tuple[tuple[str, Callable[[Random, int, int], str]], ...] = (
 )
 
 
-def verification_suite(order: int = DEFAULT_ORDER, seed: int = 0, cases: int = 50) -> dict:
+def verification_suite(order: int, seed: int, cases: int) -> dict:
     """Run every local-model check deterministically; machine-readable result."""
     if order < 2:
         raise ValueError("truncation order must be >= 2 to represent zeta")

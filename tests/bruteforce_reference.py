@@ -105,11 +105,10 @@ def bruteforce_search(
     stable_witness: Optional[tuple[int, MonomialIndex]] = None
     enumerated = 0
     for r in range(1, r_max + 1):
-        lin_r = Linearization(lin.n, lin.N, r)
-        cap = lin_r.cap
+        cap = lin.N * r
         # the enumerator only emits in-bounds balanced vectors, so the
         # per-vector work is exactly the nonvanishing subset test
-        for m in bounded_compositions(lin_r.target, cap, lin_r.N):
+        for m in bounded_compositions(cap * lin.n, cap, lin.N):
             enumerated += 1
             if not all(m[j] == cap for j in zero_slots):
                 continue

@@ -122,35 +122,39 @@ def orbit_equivalent(x: Configuration, y: Configuration) -> Optional[Scalar]:
 # invariant monomials, the dictionary and charts (git_engine)
 
 
-def _check_monomial(m: Sequence[int], lin: Linearization) -> None:
+def _check_monomial(m: Sequence[int], lin: Linearization, r: int) -> None:
     if len(m) != lin.N:
         raise LengthMismatchError(f"exponent vector has {len(m)} slots, expected {lin.N}")
     for j, mj in enumerate(m):
-        if not 0 <= mj <= lin.cap:
-            raise ValueError(f"exponent m[{j}] = {mj} outside [0, {lin.cap}]")
+        if not 0 <= mj <= lin.N * r:
+            raise ValueError(f"exponent m[{j}] = {mj} outside [0, {lin.N * r}]")
 
 
-def is_invariant(m: Sequence[int], lin: Linearization) -> bool:
+def is_invariant(m: Sequence[int], lin: Linearization, r: int = 1) -> bool:
     """Torus invariance is the balancing condition sum(m) == N*r*n."""
-    _check_monomial(m, lin)
-    return sum(m) == lin.target
+    _check_monomial(m, lin, r)
+    return sum(m) == lin.N * r * lin.n
 
 
-def saturated_slots(m: Sequence[int], lin: Linearization) -> tuple[frozenset[int], frozenset[int]]:
+def saturated_slots(
+    m: Sequence[int], lin: Linearization, r: int = 1
+) -> tuple[frozenset[int], frozenset[int]]:
     """Slots at the top exponent N*r and at the bottom exponent 0."""
-    _check_monomial(m, lin)
-    top = frozenset(j for j, mj in enumerate(m) if mj == lin.cap)
+    _check_monomial(m, lin, r)
+    top = frozenset(j for j, mj in enumerate(m) if mj == lin.N * r)
     bottom = frozenset(j for j, mj in enumerate(m) if mj == 0)
     return top, bottom
 
 
-def monomial_nonvanishing(m: Sequence[int], c: Configuration, lin: Linearization) -> bool:
+def monomial_nonvanishing(
+    m: Sequence[int], c: Configuration, lin: Linearization, r: int = 1
+) -> bool:
     """Nonvanishing at c: every [0:1] slot saturated top, every [1:0] slot bottom."""
-    _check_monomial(m, lin)
+    _check_monomial(m, lin, r)
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     marks = mark_data(c)
-    return all(m[j] == lin.cap for j in marks.zero_slots) and all(
+    return all(m[j] == lin.N * r for j in marks.zero_slots) and all(
         m[j] == 0 for j in marks.infinity_slots
     )
 

@@ -294,13 +294,12 @@ def test_criterion_9_face_search_at_genus_4():
                     if witness is None:
                         continue
                     r, m = witness
-                    lin_r = Linearization(lin.n, lin.N, r)
-                    top, bottom = saturated_slots(m, lin_r)
+                    top, bottom = saturated_slots(m, lin, r)
                     interior = lin.N - len(top) - len(bottom)
                     if not (
                         1 <= r <= r_max
-                        and is_invariant(m, lin_r)
-                        and monomial_nonvanishing(m, c, lin_r)
+                        and is_invariant(m, lin, r)
+                        and monomial_nonvanishing(m, c, lin, r)
                         and (kind == "semistable" or interior > 0)
                     ):
                         failures.append((pattern, r_max, kind, witness))

@@ -479,6 +479,10 @@ LOCAL_VERIFY_DIGESTS = {
         "0486db18ff7e4904d02bc207512719e502d61b657634033d36253ca42c602e94",
     ("csv", "--truncation", "32", "--cases", "3"):
         "864c35f40795b21acac5ec86ea719fc43e77b68024996a6de1441fff7914ee6f",
+    ("json", "--truncation", "2", "--cases", "1"):
+        "f603cf20a9b83eb1365c1a281402e6d084ec72ece82a9716d8262d14e757302f",
+    ("csv", "--truncation", "2", "--cases", "1"):
+        "83cd614ccf6fe00e54cc61eab38548bcb038d64c32b2d003c6133c699ea6f777",
 }
 
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su12fiber.configuration import Configuration, FiberPoint, act, mark_data
+from su12fiber.configuration import Configuration, FiberPoint, act
 from su12fiber.errors import LengthMismatchError
 from su12fiber.git_engine import (
-    BruteForceOutcome,
     GitClass,
     Linearization,
     _lex_rank,
@@ -60,14 +59,11 @@ def patterns_n4(rng):
 
 
 def test_linearization_validation():
-    assert LIN.n == 2 and LIN.N == 4 and LIN.r == 1
-    assert LIN.cap == 4 and LIN.target == 8
+    assert LIN.n == 2 and LIN.N == 4
     with pytest.raises(ValueError):
         Linearization(5, 4)
     with pytest.raises(ValueError):
         Linearization(-1, 4)
-    with pytest.raises(ValueError):
-        Linearization(2, 4, 0)
 
 
 def test_is_invariant():
@@ -171,7 +167,7 @@ def test_bruteforce_boundary_has_unique_monomial():
     c = cfg(Z, Z, I, I)
     witnesses = [
         m
-        for m in bounded_compositions(LIN.target, LIN.cap, LIN.N)
+        for m in bounded_compositions(LIN.N * LIN.n, LIN.N, LIN.N)
         if monomial_nonvanishing(m, c, LIN)
     ]
     assert witnesses == [(4, 4, 0, 0)]

@@ -1,6 +1,6 @@
 """The package holds what the command line and the README use.
 
-Both guards read src/su12fiber with ast and import nothing:
+The guards read the source with ast and import nothing:
 
 * each module's imports from inside the package are pinned, so a new
   dependency between modules, such as configuration on stability, is an
@@ -9,7 +9,9 @@ Both guards read src/su12fiber with ast and import nothing:
   a name in su12fiber.__all__, a console script of pyproject.toml, or a
   statement that runs on import (the body of ``python -m su12fiber``).
   A definition reaches every package name its statement mentions.  Code
-  that only tests call belongs in tests/, next to paper_reference.py.
+  that only tests call belongs in tests/, next to paper_reference.py;
+* every name a module of src/su12fiber or tests/ imports is read in it,
+  or listed in its __all__ (``from __future__`` imports aside).
 """
 
 import ast
@@ -220,3 +222,39 @@ def test_every_public_definition_is_reachable_from_the_cli_or_the_exports():
         f"{sorted(unreached - set(UNREACHED_ALLOWED))}; "
         f"allowed but now reached or gone: {sorted(set(UNREACHED_ALLOWED) - unreached)}"
     )
+
+
+# unused imports
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and _bound_names(stmt) == ["__all__"]:
+            read.update(ast.literal_eval(stmt.value))
+    return read
+
+
+def test_every_import_is_read():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = _imported_names(tree) - _read_names(tree)
+        if names:
+            unused[str(path.relative_to(ROOT))] = sorted(names)
+    assert unused == {}
