@@ -21,7 +21,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import local_model
 from .configuration import Configuration, config_from_json, config_to_json
@@ -75,54 +75,52 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+def _add_common(p: argparse.ArgumentParser, *, moduli: bool = True) -> None:
+    if moduli:
+        p.add_argument("--genus", type=int, required=True, help="curve genus, >= 2")
+        p.add_argument(
+            "--degree", type=int, default=0, help="line bundle degree (default 0)"
+        )
+    p.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="output format (default json)",
+    )
+    p.add_argument("--output", help="write the report here instead of stdout")
+
+
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """Every subcommand's name and help line, and the arguments of those
+    subcommands whose name is a token of argv."""
     parser = _Parser(
         prog="su12fiber",
         description="Exact stability, census, and torus-quotient reports "
         "for rank-3 fiber data.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, moduli: bool = True) -> None:
-        if moduli:
-            p.add_argument("--genus", type=int, required=True, help="curve genus, >= 2")
-            p.add_argument(
-                "--degree", type=int, default=0, help="line bundle degree (default 0)"
-            )
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default="json",
-            help="output format (default json)",
-        )
-        p.add_argument("--output", help="write the report here instead of stdout")
+    # argparse (3.10 to 3.13) dispatches only on a token equal to a
+    # subcommand name, since names cannot be abbreviated, and reads a
+    # subparser only when it dispatches to it; usage, help and the
+    # invalid-choice error read the names and help lines alone.  So a
+    # subcommand that no token names can map to None, and the parser that
+    # runs is the one a full build would give
+    def subparser(*, command: str, **kwargs) -> Optional[_Parser]:
+        if command not in argv:
+            return None
+        p = _Parser(**kwargs)
+        _COMMANDS[command].add_arguments(p)
+        return p
 
-    p = sub.add_parser("stability", help="classify one vanishing-count cell")
-    common(p)
-    p.add_argument("--dbeta", type=int, required=True, help="slots where beta vanishes")
-    p.add_argument("--dgamma", type=int, required=True, help="slots where gamma vanishes")
-
-    p = sub.add_parser("census", help="classify every cell and count partitions")
-    common(p)
-
-    p = sub.add_parser("git-classify", help="torus-quotient classes for a config file")
-    common(p)
-    p.add_argument(
-        "--input", required=True, help="JSON array of serialized configurations"
-    )
-    p.add_argument(
-        "--rmax", type=int, default=1, help="highest linearization power to sweep"
-    )
-
-    p = sub.add_parser("local-model-verify", help="run the exact local-model suite")
-    common(p, moduli=False)
-    p.add_argument(
-        "--truncation", type=int, default=8, help="series truncation order (default 8)"
-    )
-    p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default 0)")
-    p.add_argument(
-        "--cases", type=int, default=200, help="randomized cases per check (default 200)"
-    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, help=command.help, command=name)
     return parser
 
 
@@ -178,6 +176,12 @@ def _inequality(label: str, lhs: int, op: str, bound_name: str, rhs: int) -> dic
         "values": f"{lhs} {op} {rhs}",
         "holds": holds,
     }
+
+
+def _stability_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--dbeta", type=int, required=True, help="slots where beta vanishes")
+    p.add_argument("--dgamma", type=int, required=True, help="slots where gamma vanishes")
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
@@ -319,6 +323,16 @@ def _witness_json(witness) -> Optional[dict]:
     return {"power": power, "exponents": list(exponents)}
 
 
+def _git_classify_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument(
+        "--input", required=True, help="JSON array of serialized configurations"
+    )
+    p.add_argument(
+        "--rmax", type=int, default=1, help="highest linearization power to sweep"
+    )
+
+
 def _cmd_git_classify(args: argparse.Namespace) -> int:
     p = _bounded_moduli(args)
     if not milnor_wood_admits_stable(p.g, p.d):
@@ -386,6 +400,17 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
 # local-model-verify
 
 
+def _local_verify_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, moduli=False)
+    p.add_argument(
+        "--truncation", type=int, default=8, help="series truncation order (default 8)"
+    )
+    p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default 0)")
+    p.add_argument(
+        "--cases", type=int, default=200, help="randomized cases per check (default 200)"
+    )
+
+
 def _cmd_local_verify(args: argparse.Namespace) -> int:
     if args.truncation < 2:
         raise _UsageError("--truncation must be >= 2")
@@ -408,19 +433,31 @@ def _cmd_local_verify(args: argparse.Namespace) -> int:
     return 0 if report["all_passed"] else CHECK_FAILURE
 
 
-_DISPATCH = {
-    "stability": _cmd_stability,
-    "census": _cmd_census,
-    "git-classify": _cmd_git_classify,
-    "local-model-verify": _cmd_local_verify,
+_COMMANDS = {
+    "stability": _Command(
+        "classify one vanishing-count cell", _stability_arguments, _cmd_stability
+    ),
+    "census": _Command(
+        "classify every cell and count partitions", _add_common, _cmd_census
+    ),
+    "git-classify": _Command(
+        "torus-quotient classes for a config file",
+        _git_classify_arguments,
+        _cmd_git_classify,
+    ),
+    "local-model-verify": _Command(
+        "run the exact local-model suite", _local_verify_arguments, _cmd_local_verify
+    ),
 }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (_UsageError, InvalidGenusError, LengthMismatchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

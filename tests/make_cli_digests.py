@@ -1,0 +1,140 @@
+"""Write or check cli_surface_digests.txt: one digest of what the command line
+prints for each argv of a fixed grid, keyed by Python minor version.
+
+Each case runs ``cli.main(argv)`` in process, in a temporary working directory
+that holds the input file ``configs.json``, with ``COLUMNS=80``.  Its digest
+is the sha256 of (exit code, stdout, stderr).  argparse wraps help and usage
+text differently across minor versions, so each minor has its own digests.
+
+    PYTHONPATH=src python3 tests/make_cli_digests.py          # record this minor
+    PYTHONPATH=src python3 tests/make_cli_digests.py --check  # compare, exit 1 on a difference
+
+Record after a deliberate change to the command-line surface, under every
+Python the project supports.  Uses the standard library and the package only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+from su12fiber import cli
+
+DIGESTS = Path(__file__).with_name("cli_surface_digests.txt")
+MINOR = "%d.%d" % sys.version_info[:2]
+
+# two genus-2 configurations, one GIT-stable and one unstable
+CONFIGS = (
+    '[{"base": "L0", "points": ["zero", {"t": "1"}, {"t": "2"}, "inf"]}, '
+    '{"base": "L0", "points": ["zero", "zero", "zero", "inf"]}]'
+)
+
+GRID = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "census"],
+    ["no-such-command"],
+    ["stabilit", "--genus", "2", "--dbeta", "1", "--dgamma", "1"],
+    ["--", "census", "--genus", "2", "--format", "csv"],
+    ["stability", "-h"],
+    ["census", "-h"],
+    ["git-classify", "-h"],
+    ["local-model-verify", "-h"],
+    ["stability", "--genus", "3", "--degree", "1", "--dbeta", "2", "--dgamma", "1"],
+    ["census", "--genus", "3", "--format", "csv"],
+    ["git-classify", "--genus", "2", "--input", "configs.json"],
+    ["local-model-verify", "--truncation", "3", "--cases", "2", "--format", "csv"],
+    ["stability", "--genus", "2", "--dbeta", "1"],
+    ["census"],
+    ["census", "--genus", "2", "--format", "xml"],
+    ["census", "--genus", "two"],
+    ["local-model-verify", "--seed", "1.5"],
+    ["census", "--genus", "2", "--colour"],
+    ["census", "--genus", "2", "extra"],
+    ["census", "--genus", "2", "stability"],
+    ["git-classify", "--genus", "2", "--input", "census"],
+    ["git-classify", "--input", "census", "--genus", "2", "-h"],
+    ["git-classify", "--genus=2", "--input=configs.json", "--format=csv", "--rmax", "2"],
+    ["census", "--gen", "2", "--form", "csv"],
+    ["--genus", "2", "census"],
+    ["census", "--genus", "2", "--", "stability"],
+]
+
+
+def case_id(argv: list[str]) -> str:
+    return shlex.join(argv) if argv else "''"
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse's -h
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def surface() -> dict[str, str]:
+    """Case id -> digest for this interpreter, from a throwaway directory."""
+    os.environ["COLUMNS"] = "80"
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            Path("configs.json").write_text(CONFIGS, encoding="utf-8")
+            return {
+                case_id(argv): hashlib.sha256(repr(run(argv)).encode("utf-8")).hexdigest()
+                for argv in GRID
+            }
+        finally:
+            os.chdir(here)
+
+
+def recorded() -> dict[str, dict[str, str]]:
+    """Minor version -> case id -> digest, as committed."""
+    table: dict[str, dict[str, str]] = {}
+    if DIGESTS.exists():
+        for line in DIGESTS.read_text(encoding="utf-8").splitlines():
+            minor, digest, case = line.split(" ", 2)
+            table.setdefault(minor, {})[case] = digest
+    return table
+
+
+def main(args: list[str]) -> int:
+    table = recorded()
+    if args == ["--check"]:
+        if MINOR not in table:
+            print(f"no digests recorded for Python {MINOR}")
+            return 1
+        expected, actual = table[MINOR], surface()
+        cases = expected.keys() | actual.keys()
+        bad = sorted(case for case in cases if expected.get(case) != actual.get(case))
+        for case in bad:
+            print(f"differs on Python {MINOR}: {case}")
+        print(f"{len(cases) - len(bad)} of {len(cases)} cases match on Python {MINOR}")
+        return 1 if bad else 0
+    if args:
+        print(__doc__)
+        return 1
+    table[MINOR] = surface()
+    DIGESTS.write_text(
+        "".join(
+            f"{minor} {digest} {case}\n"
+            for minor in sorted(table, key=lambda m: tuple(map(int, m.split("."))))
+            for case, digest in table[minor].items()
+        ),
+        encoding="utf-8",
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import make_cli_digests
 from su12fiber import cli
 from su12fiber.configuration import (
     Configuration,
@@ -583,6 +584,73 @@ def test_missing_required_flag_is_usage_error(capsys):
     code, _, err = run(capsys, "stability", "--genus", "2", "--dbeta", "1")
     assert code == 1
     assert "dgamma" in err
+
+
+def test_cli_surface_matches_its_digests():
+    # help, usage, errors and a valid call of each subcommand, byte for byte
+    if make_cli_digests.MINOR not in make_cli_digests.recorded():
+        pytest.skip(f"no CLI surface digests recorded for Python {make_cli_digests.MINOR}")
+    result = run_python(make_cli_digests.__file__, "--check")
+    assert result.returncode == 0, result.stdout
+
+
+def echo(args):
+    print(sorted(vars(args).items()))
+    return 0
+
+
+def echo_commands():
+    return {name: c._replace(run=echo) for name, c in cli._COMMANDS.items()}
+
+
+CLI_TOKENS = [
+    *cli._COMMANDS,
+    "--genus", "--degree", "--format", "--output", "--dbeta", "--dgamma", "--input",
+    "--rmax", "--truncation", "--seed", "--cases",
+    "-h", "--help", "--", "0", "2", "-1", "1.5", "json", "csv", "xml", "junk",
+    "--genus=3", "--gen", "stabilit", "--nope", "-x",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CLI_TOKENS), max_size=8))
+def test_main_parses_as_the_full_parser(argv):
+    # the parser main builds for argv reads argv as the parser with every
+    # subcommand's arguments does
+    full = cli._build_parser
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_COMMANDS", echo_commands())
+        lean = make_cli_digests.run(argv)
+        mp.setattr(cli, "_build_parser", lambda argv: full(list(cli._COMMANDS)))
+        assert lean == make_cli_digests.run(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["stability", "--genus", "2", "--dbeta", "1", "--dgamma", "1"], ["stability"]),
+        (["census", "--genus", "2"], ["census"]),
+        (["git-classify", "--genus", "2", "--input", "c.json"], ["git-classify"]),
+        (["local-model-verify", "--cases", "1"], ["local-model-verify"]),
+        (["--help"], []),
+        # a subcommand name given as a value is a token too
+        (["git-classify", "--genus", "2", "--input", "census"], ["census", "git-classify"]),
+    ],
+    ids=lambda value: "_".join(value).replace("-", "") or "none",
+)
+def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built):
+    # two parsers for a subcommand call, not one per subcommand plus the top
+    progs = []
+    init = cli._Parser.__init__
+
+    def counted(self, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    monkeypatch.setattr(cli, "_COMMANDS", echo_commands())
+    assert make_cli_digests.run(argv)[0] == 0
+    assert progs == ["su12fiber"] + [f"su12fiber {name}" for name in built]
 
 
 def test_python_dash_m_runs_the_cli():
