@@ -17,11 +17,13 @@ seed; census and git-classify also emit CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from . import local_model
 from .configuration import Configuration, config_from_json, config_to_json
@@ -36,7 +38,8 @@ from .git_engine import (
 from .stability import (
     ModuliParams,
     StabilityClass,
-    census,
+    add_class_totals,
+    census_rows,
     classify_counts,
     milnor_wood_admits_stable,
     polystable_split_degrees,
@@ -46,7 +49,8 @@ USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
 # the largest requests accepted, refused before any work: census at genus
-# 100 writes about 24 MB of JSON or 13 MB of CSV in 0.5 to 0.7 s
+# 100 writes about 24 MB of JSON or 13 MB of CSV in 0.4 to 0.5 s, one row
+# at a time, with a peak RSS of about 18 MB, 1 MB over the import alone
 # (interpreter start included), and the local-model suite at order
 # 32 with 500 cases runs for 9 to 10 s.  The genus bound covers stability,
 # census and git-classify alike.  git-classify at genus 100 spends at most
@@ -124,12 +128,18 @@ def _build_parser(argv: Sequence[str]) -> _Parser:
     return parser
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+@contextlib.contextmanager
+def _opened(output: Optional[str]) -> Iterator[TextIO]:
     if output is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, output: Optional[str]) -> None:
+    with _opened(output) as out:
+        out.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -246,43 +256,54 @@ _CENSUS_ROW_JSON = (
 _CENSUS_ROW_CSV = "%d,%d,%d,%s,%d,%s\n"
 
 
+def _census_json(p: ModuliParams) -> Iterator[str]:
+    # json.dumps(indent=2, sort_keys=True) of the whole payload, in pieces:
+    # the keys that sort before "rows" without the closing brace, each row
+    # of cells from the template, then the keys after "rows" without the
+    # opening brace
+    head = _json_text({"command": "census", "degree": p.d, "genus": p.g})
+    yield head[:-3] + ',\n  "rows": [\n'
+    names = {cls: cls.value for cls in StabilityClass}
+    totals = dict.fromkeys(StabilityClass, 0)
+    separator = ""
+    for row in census_rows(p):
+        add_class_totals(totals, row)
+        yield separator + ",\n".join([
+            _CENSUS_ROW_JSON
+            % (d_beta, d_gamma, d_r, count, names[cls], "null" if dim is None else dim)
+            for d_beta, d_gamma, d_r, cls, count, dim in row
+        ])
+        separator = ",\n"
+    named = {names[cls]: count for cls, count in totals.items()}
+    tail = _json_text({"slots": p.N, "totals": {**named, "all": sum(totals.values())}})
+    yield "\n  ]," + tail[1:]
+
+
+def _census_csv(p: ModuliParams) -> Iterator[str]:
+    yield "d_beta,d_gamma,d_rest,stability,labeled_count,stratum_dimension\n"
+    names = {cls: cls.value for cls in StabilityClass}
+    totals = dict.fromkeys(StabilityClass, 0)
+    for row in census_rows(p):
+        add_class_totals(totals, row)
+        # ints and fixed class names, none of which csv.writer would quote
+        yield "".join([
+            _CENSUS_ROW_CSV
+            % (d_beta, d_gamma, d_r, names[cls], count, "" if dim is None else dim)
+            for d_beta, d_gamma, d_r, cls, count, dim in row
+        ])
+    yield "".join(f"# total {names[cls]} {count}\n" for cls, count in totals.items())
+    yield f"# total all {sum(totals.values())}\n"
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     p = _bounded_moduli(args)
     _warn_degree(p)
-    result = census(p)
-    totals = {cls.value: count for cls, count in result.class_totals().items()}
-    grand_total = sum(totals.values())
-    names = {cls: cls.value for cls in StabilityClass}
-    if args.format == "json":
-        # the head keys and totals go through json.dumps with an empty rows
-        # list, which is then filled with the rows formatted from the template
-        head = _json_text({
-            "command": "census",
-            "genus": p.g,
-            "degree": p.d,
-            "slots": p.N,
-            "rows": [],
-            "totals": {**totals, "all": grand_total},
-        })
-        body = ",\n".join([
-            _CENSUS_ROW_JSON
-            % (d_beta, d_gamma, d_r, count, names[cls], "null" if dim is None else dim)
-            for d_beta, d_gamma, d_r, cls, count, dim in result.rows
-        ])
-        _emit(head.replace('"rows": []', '"rows": [\n' + body + "\n  ]", 1), args.output)
-    else:
-        # ints and fixed class names, none of which csv.writer would quote
-        body = "".join([
-            _CENSUS_ROW_CSV
-            % (d_beta, d_gamma, d_r, names[cls], count, "" if dim is None else dim)
-            for d_beta, d_gamma, d_r, cls, count, dim in result.rows
-        ])
-        comments = "".join(f"# total {name} {count}\n" for name, count in totals.items())
-        _emit(
-            "d_beta,d_gamma,d_rest,stability,labeled_count,stratum_dimension\n"
-            + body + comments + f"# total all {grand_total}\n",
-            args.output,
-        )
+    # each row of cells is written as soon as it is computed, so the text
+    # is never held whole
+    pieces = _census_json(p) if args.format == "json" else _census_csv(p)
+    with _opened(args.output) as out:
+        for piece in pieces:
+            out.write(piece)
     return 0
 
 
@@ -457,11 +478,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command].run(args)
+        code = _COMMANDS[args.command].run(args)
+        # what is still buffered is written here, so a failed write is
+        # reported like any other, not by the interpreter at exit
+        sys.stdout.flush()
+        return code
     except (_UsageError, InvalidGenusError, LengthMismatchError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main has reported it; the rest of the buffer has no reader, and
+        # the flush at exit must not report it a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidGenusError
 
@@ -125,6 +125,12 @@ class CensusRow(NamedTuple):
     stratum_dim: int | None
 
 
+def add_class_totals(totals: dict[StabilityClass, int], cells: Iterable[CensusRow]) -> None:
+    """Add the labeled counts of cells to totals, one sum per run of equal class."""
+    for cls, run in groupby(cells, attrgetter("stability")):
+        totals[cls] += sum(map(attrgetter("labeled_count"), run))
+
+
 @dataclass(frozen=True)
 class CensusResult:
     params: ModuliParams
@@ -133,8 +139,7 @@ class CensusResult:
     def class_totals(self) -> dict[StabilityClass, int]:
         """Labeled count of every class, in one pass over runs of equal class."""
         totals = dict.fromkeys(StabilityClass, 0)
-        for cls, run in groupby(self.rows, attrgetter("stability")):
-            totals[cls] += sum(map(attrgetter("labeled_count"), run))
+        add_class_totals(totals, self.rows)
         return totals
 
     def class_total(self, cls: StabilityClass) -> int:
@@ -149,8 +154,9 @@ class CensusResult:
         return sum(r.labeled_count for r in self.rows)
 
 
-def census(p: ModuliParams) -> CensusResult:
-    """Exhaustive classification of all (d_beta, d_gamma) cells.
+def census_rows(p: ModuliParams) -> Iterator[list[CensusRow]]:
+    """Exhaustive classification of all (d_beta, d_gamma) cells, one row of
+    d_beta at a time: the cells (d_beta, 0), ..., (d_beta, N - d_beta).
 
     Each cell carries the number of labeled partitions realizing it,
     the multinomial N! / (d_beta! d_gamma! d_r!), so the grand total is
@@ -165,20 +171,22 @@ def census(p: ModuliParams) -> CensusResult:
     `classify_counts` sees d_gamma only through comparisons with
     gamma_bound, so the class is constant on each of the ranges
     [0, gamma_bound), {gamma_bound} and (gamma_bound, N - d_beta] of a row;
-    it is asked once per nonempty range, at the range's first cell.
+    it is asked once per nonempty range, at the range's first cell.  A row
+    is computed only when it is asked for, so a reader that writes each row
+    out holds one row at a time.
     """
     N = p.N
     g = p.g
     gamma_bound = p.gamma_bound
     stable = StabilityClass.STABLE
     new_row = CensusRow._make  # from one tuple: about half the cost of CensusRow(...)
-    rows = []
     head = 1
     for d_beta in range(N + 1):
         width = N + 1 - d_beta
         cut = min(max(gamma_bound, 0), width)
         cut_after = min(max(gamma_bound + 1, 0), width)
         count = head
+        row = []
         for start, stop in ((0, cut), (cut, cut_after), (cut_after, width)):
             if start == stop:
                 continue
@@ -186,8 +194,14 @@ def census(p: ModuliParams) -> CensusResult:
             is_stable = cls is stable
             for d_gamma in range(start, stop):
                 d_r = N - d_beta - d_gamma
-                rows.append(new_row((d_beta, d_gamma, d_r, cls, count,
-                                     g + d_r if is_stable else None)))
+                row.append(new_row((d_beta, d_gamma, d_r, cls, count,
+                                    g + d_r if is_stable else None)))
                 count = count * d_r // (d_gamma + 1)
+        yield row
         head = head * (N - d_beta) // (d_beta + 1)
-    return CensusResult(p, tuple(rows))
+
+
+
+def census(p: ModuliParams) -> CensusResult:
+    """The whole table of `census_rows`, every cell in order of (d_beta, d_gamma)."""
+    return CensusResult(p, tuple(chain.from_iterable(census_rows(p))))

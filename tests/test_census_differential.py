@@ -16,21 +16,38 @@ census_digests.txt (written by make_census_digests.py), since emitting the
 reference through json.dumps is what dominates the cost; at the genera in
 LIVE_GENERA the reference is also emitted, and compared with both the CLI
 and the digest file, so a stale digest file fails.
+
+The CLI writes the census one row of d_beta at a time, as `census_rows`
+yields it.  The last tests pin what that buys and what it must keep: a
+bounded allocation peak at genus 100, rows that come out before the rest
+of the table is built, and one `error:` line with exit 1 when the reader
+of the output goes away.
 """
 
 import contextlib
+import errno
 import functools
 import io
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import census_reference as reference
 from census_reference import GENERA, degrees
-from su12fiber import cli
-from su12fiber.stability import ModuliParams, StabilityClass, census, classify_counts
+from su12fiber import cli, stability
+from su12fiber.stability import (
+    ModuliParams,
+    StabilityClass,
+    census,
+    census_rows,
+    classify_counts,
+)
 
 LIVE_GENERA = (2, 17, 100)
 
@@ -113,3 +130,137 @@ def test_census_output_file_is_byte_identical_to_reference(tmp_path, g, d, fmt):
     expected_out, expected_err = reference.emission(reference.census(ModuliParams(g, d)), fmt)
     assert err == expected_err
     assert path.read_bytes() == expected_out.encode("utf-8")
+
+
+# streaming
+
+
+class Discard(io.TextIOBase):
+    """A text stream that keeps nothing of what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+class BreaksAfterFirstWrite(io.TextIOBase):
+    """A text stream whose reader goes away after the first write."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return len(text)
+
+
+# tracemalloc peak of one genus-100 census sent to Discard; the whole text
+# is 24 MB of JSON or 13 MB of CSV, and one row of it at most about 0.2 MB
+CENSUS_PEAK_BOUND = 4 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_census_cli_memory_is_bounded_by_a_row(fmt):
+    argv = ["census", "--genus", "100", "--format", fmt]
+    err = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err.getvalue() == ""
+    assert peak < CENSUS_PEAK_BOUND, (fmt, peak)
+
+
+@pytest.mark.parametrize("g", [2, 17, 100])
+def test_census_rows_are_the_rows_of_d_beta_in_order(g):
+    N = 4 * g - 4
+    # gamma_bound = 2(g - 1 + d): below 0, inside [0, N], at N and past N
+    for d in (-g, 0, g - 1, g):
+        p = ModuliParams(g, d)
+        rows = list(census_rows(p))
+        assert len(rows) == N + 1
+        for d_beta, row in enumerate(rows):
+            assert [(r.d_beta, r.d_gamma) for r in row] == [
+                (d_beta, d_gamma) for d_gamma in range(N + 1 - d_beta)
+            ], (g, d)
+        assert tuple(chain.from_iterable(rows)) == census(p).rows, (g, d)
+
+
+def test_census_first_row_comes_before_the_rest_is_built(monkeypatch):
+    calls = []
+
+    def counted(p, d_beta, d_gamma):
+        calls.append(d_beta)
+        return classify_counts(p, d_beta, d_gamma)
+
+    monkeypatch.setattr(stability, "classify_counts", counted)
+    p = ModuliParams(100, 7)
+    first = next(census_rows(p))
+    assert [(r.d_beta, r.d_gamma) for r in first] == [(0, c) for c in range(p.N + 1)]
+    # one class per nonempty range of the first row, none from a later row
+    assert calls == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_census_write_failure_is_one_line(fmt):
+    stdout, err = BreaksAfterFirstWrite(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+        code = cli.main(["census", "--genus", "100", "--format", fmt])
+    assert code == cli.USAGE_ERROR and stdout.writes == 2
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
+def census_process(g, fmt, stdout, unbuffered):
+    """`python -m su12fiber census` in a fresh interpreter, writing to stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "su12fiber", "census", "--genus", str(g), "--format", fmt],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_census_reader_gone_after_100_bytes_is_one_line(fmt, unbuffered):
+    proc = census_process(100, fmt, subprocess.PIPE, unbuffered)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+    finally:
+        proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.USAGE_ERROR
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+# genus 2 fits in the stdout buffer, so its only write is the final flush
+@pytest.mark.parametrize("g", [2, 100])
+def test_census_reader_gone_before_the_start_is_one_line(g):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = census_process(g, "csv", write_end, unbuffered=False)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.USAGE_ERROR
+    assert err == b"error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("genus", ["1", "101"])
+def test_refused_census_leaves_output_path_alone(tmp_path, genus):
+    missing, existing = tmp_path / "missing.json", tmp_path / "existing.json"
+    existing.write_text("kept\n", encoding="utf-8")
+    for path in (missing, existing):
+        code, out, err = run_census(genus, 0, "json", "--output", os.fspath(path))
+        assert code == cli.USAGE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.exists()
+    assert existing.read_text(encoding="utf-8") == "kept\n"
