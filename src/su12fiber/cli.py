@@ -100,31 +100,18 @@ def _add_common(p: argparse.ArgumentParser, *, moduli: bool = True) -> None:
     p.add_argument("--output", help="write the report here instead of stdout")
 
 
-def _build_parser(argv: Sequence[str]) -> _Parser:
-    """Every subcommand's name and help line, and the arguments of those
-    subcommands whose name is a token of argv."""
+def _build_parser() -> _Parser:
+    """The top-level parser with every subcommand.  main() reads only an argv
+    that does not start with a subcommand name through it: no arguments,
+    help, an unknown name, options before the name or a leading "--"."""
     parser = _Parser(
         prog="su12fiber",
         description="Exact stability, census, and torus-quotient reports "
         "for rank-3 fiber data.",
     )
-
-    # argparse (3.10 to 3.13) dispatches only on a token equal to a
-    # subcommand name, since names cannot be abbreviated, and reads a
-    # subparser only when it dispatches to it; usage, help and the
-    # invalid-choice error read the names and help lines alone.  So a
-    # subcommand that no token names can map to None, and the parser that
-    # runs is the one a full build would give
-    def subparser(*, command: str, **kwargs) -> Optional[_Parser]:
-        if command not in argv:
-            return None
-        p = _Parser(**kwargs)
-        _COMMANDS[command].add_arguments(p)
-        return p
-
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        sub.add_parser(name, help=command.help, command=name)
+        command.add_arguments(sub.add_parser(name, help=command.help))
     return parser
 
 
@@ -475,9 +462,17 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            # argparse hands all that follows a subcommand name to the
+            # subparser it names "su12fiber <name>", and _Parser.error drops
+            # the prog, so that subparser alone gives the same namespace,
+            # help and errors as the full parser
+            parser = _Parser(prog=f"su12fiber {argv[0]}")
+            _COMMANDS[argv[0]].add_arguments(parser)
+            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = _build_parser().parse_args(argv)
         code = _COMMANDS[args.command].run(args)
         # what is still buffered is written here, so a failed write is
         # reported like any other, not by the interpreter at exit

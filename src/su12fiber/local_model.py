@@ -213,11 +213,13 @@ def is_smith_pair(phi: Mat2, p: Mat2, q: Mat2) -> bool:
     """Whether P @ phi @ Q == diag(1, zeta) and det Q == 1, exactly.
 
     As R is commutative and det Q == 1, Q @ adj(Q) == 1 and the identity
-    holds iff P @ phi == diag(1, zeta) @ adj(Q): for a constant P, one dense
-    determinant and sparse products instead of two dense products.
+    holds iff P @ phi == diag(1, zeta) @ adj(Q), which is adj(Q) with its
+    second row times zeta: for a constant P, one dense determinant and sparse
+    products instead of two dense products.
     """
     one, zeta = TruncatedSeries.one(phi.order), TruncatedSeries.zeta(phi.order)
-    return q.det() == one and p @ phi == Mat2.diag(one, zeta) @ q.adjugate()
+    top, (c, d) = q.adjugate().entries
+    return q.det() == one and p @ phi == Mat2((top, (c * zeta, d * zeta)))
 
 
 # the canonical dual-wedge contraction
@@ -339,10 +341,12 @@ def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
     """Random matrix with determinant exactly zeta, via unit-sandwiched diag(1, zeta)."""
     a = random_unit_matrix(rng, order)
     b = random_unit_matrix(rng, order)
+    zeta = TruncatedSeries.zeta(order)
     unit = (a.det() * b.det()).inverse()
-    b = b.scale_col(1, unit)
-    phi = a.scale_col(1, TruncatedSeries.zeta(order)) @ b  # a @ diag(1, zeta) @ b
-    if phi.det() != TruncatedSeries.zeta(order):
+    # a @ diag(1, zeta) @ b @ diag(1, unit): the large inverse enters two
+    # products, not the six of scaling b before the product
+    phi = (a.scale_col(1, zeta) @ b).scale_col(1, unit)
+    if phi.det() != zeta:
         raise InternalInconsistencyError("random determinant normalization failed")
     return phi
 

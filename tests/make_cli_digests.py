@@ -5,6 +5,10 @@ Each case runs ``cli.main(argv)`` in process, in a temporary working directory
 that holds the input file ``configs.json``, with ``COLUMNS=80``.  Its digest
 is the sha256 of (exit code, stdout, stderr).  argparse wraps help and usage
 text differently across minor versions, so each minor has its own digests.
+Patch releases change argparse text as well (3.13.13 no longer quotes the
+choices in an invalid-choice error, and reads a leading ``--`` differently),
+so the committed digests hold for the releases they were recorded under:
+CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
 
     PYTHONPATH=src python3 tests/make_cli_digests.py          # record this minor
     PYTHONPATH=src python3 tests/make_cli_digests.py --check  # compare, exit 1 on a difference

@@ -612,17 +612,31 @@ CLI_TOKENS = [
 ]
 
 
+def full_parser_main(argv):
+    # main's usage-error handling around the top-level parser with every
+    # subcommand: the reference for main's one-parser route
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except cli._UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return cli.USAGE_ERROR
+    return cli._COMMANDS[args.command].run(args)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(CLI_TOKENS), max_size=8))
-def test_main_parses_as_the_full_parser(argv):
-    # the parser main builds for argv reads argv as the parser with every
-    # subcommand's arguments does
-    full = cli._build_parser
+@given(
+    # a subcommand name first in most examples, so most take main's one-parser route
+    st.sampled_from([*cli._COMMANDS, None]),
+    st.lists(st.sampled_from(CLI_TOKENS), max_size=8),
+)
+def test_main_parses_as_the_full_parser(name, tokens):
+    # main reads argv as the top-level parser with every subcommand does
+    argv = tokens if name is None else [name, *tokens]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_COMMANDS", echo_commands())
-        lean = make_cli_digests.run(argv)
-        mp.setattr(cli, "_build_parser", lambda argv: full(list(cli._COMMANDS)))
-        assert lean == make_cli_digests.run(argv)
+        routed = make_cli_digests.run(argv)
+        mp.setattr(cli, "main", full_parser_main)
+        assert routed == make_cli_digests.run(argv)
 
 
 @pytest.mark.parametrize(
@@ -632,14 +646,15 @@ def test_main_parses_as_the_full_parser(argv):
         (["census", "--genus", "2"], ["census"]),
         (["git-classify", "--genus", "2", "--input", "c.json"], ["git-classify"]),
         (["local-model-verify", "--cases", "1"], ["local-model-verify"]),
-        (["--help"], []),
-        # a subcommand name given as a value is a token too
-        (["git-classify", "--genus", "2", "--input", "census"], ["census", "git-classify"]),
+        # a subcommand name given as a value builds no parser
+        (["git-classify", "--genus", "2", "--input", "census"], ["git-classify"]),
+        (["--help"], list(cli._COMMANDS)),
     ],
     ids=lambda value: "_".join(value).replace("-", "") or "none",
 )
 def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built):
-    # two parsers for a subcommand call, not one per subcommand plus the top
+    # one parser for a subcommand call; the top-level parser, and with it
+    # every subparser, only for an argv that does not start with a name
     progs = []
     init = cli._Parser.__init__
 
@@ -650,7 +665,8 @@ def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built):
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     monkeypatch.setattr(cli, "_COMMANDS", echo_commands())
     assert make_cli_digests.run(argv)[0] == 0
-    assert progs == ["su12fiber"] + [f"su12fiber {name}" for name in built]
+    top = [] if argv[0] in cli._COMMANDS else ["su12fiber"]
+    assert progs == top + [f"su12fiber {name}" for name in built]
 
 
 def test_python_dash_m_runs_the_cli():
