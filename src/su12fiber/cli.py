@@ -36,10 +36,10 @@ from .git_engine import (
     s_equivalence_representative,
 )
 from .stability import (
+    CensusRun,
     ModuliParams,
     StabilityClass,
-    add_class_totals,
-    census_rows,
+    census_runs,
     classify_counts,
     milnor_wood_admits_stable,
     polystable_split_degrees,
@@ -48,15 +48,14 @@ from .stability import (
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
-# the largest requests accepted, refused before any work: census at genus
-# 100 writes about 24 MB of JSON or 13 MB of CSV in 0.4 to 0.5 s, one row
-# at a time, with a peak RSS of about 18 MB, 1 MB over the import alone
-# (interpreter start included), and the local-model suite at order
-# 32 with 500 cases runs for 9 to 10 s.  The genus bound covers stability,
-# census and git-classify alike.  git-classify at genus 100 spends at most
-# about 3 s on a stable configuration (its rank) and 0.6 to 0.9 s on a
-# non-stable one with --rmax 32, whose count has 1,620 digits, well under
-# the 4,300 Python prints
+# the largest requests accepted, refused before any work.  The genus bound
+# covers stability, census and git-classify alike: at genus 100 a census
+# writes about 24 MB of JSON or 13 MB of CSV in 0.3 s, one run at a time,
+# with a peak RSS of about 17 MB, under 1 MB over the import alone
+# (interpreter start included), and git-classify spends at most about 3 s
+# on a stable configuration (its rank) and 0.6 to 0.9 s on a non-stable one
+# with --rmax 32, whose count has 1,620 digits, well under the 4,300 Python
+# prints.  The local-model suite at order 32 with 500 cases runs for 9 to 10 s
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps
@@ -228,64 +227,62 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 # census
 
 
-# one census row as json.dumps(indent=2, sort_keys=True) lays out an object
-# that sits in the "rows" list of the payload
-_CENSUS_ROW_JSON = (
+# one census cell as json.dumps(indent=2, sort_keys=True) lays out an object
+# in the "rows" list of the payload; a run fills in d_beta, its class and
+# "%d" or null for the stratum dimension once, and each cell the rest
+_CENSUS_CELL_JSON = (
     "    {\n"
     '      "d_beta": %d,\n'
-    '      "d_gamma": %d,\n'
-    '      "d_rest": %d,\n'
-    '      "labeled_count": %d,\n'
+    '      "d_gamma": %%d,\n'
+    '      "d_rest": %%d,\n'
+    '      "labeled_count": %%d,\n'
     '      "stability": "%s",\n'
     '      "stratum_dimension": %s\n'
     "    }"
 )
-_CENSUS_ROW_CSV = "%d,%d,%d,%s,%d,%s\n"
+# ints and fixed class names, none of which csv.writer would quote
+_CENSUS_CELL_CSV = "%d,%%d,%%d,%s,%%d,%s\n"
+
+
+def _census_cells(template: str, run: CensusRun, dimension: str) -> Iterator[str]:
+    fields = (run.d_gamma, run.d_r, run.labeled_counts)
+    if run.stratum_dims is not None:
+        dimension, fields = "%d", (*fields, run.stratum_dims)
+    cell = template % (run.d_beta, run.stability.value, dimension)
+    return map(cell.__mod__, zip(*fields))
 
 
 def _census_json(p: ModuliParams) -> Iterator[str]:
     # json.dumps(indent=2, sort_keys=True) of the whole payload, in pieces:
-    # the keys that sort before "rows" without the closing brace, each row
-    # of cells from the template, then the keys after "rows" without the
-    # opening brace
+    # the keys that sort before "rows" without the closing brace, the cells
+    # of each run, then the keys after "rows" without the opening brace
     head = _json_text({"command": "census", "degree": p.d, "genus": p.g})
     yield head[:-3] + ',\n  "rows": [\n'
-    names = {cls: cls.value for cls in StabilityClass}
     totals = dict.fromkeys(StabilityClass, 0)
     separator = ""
-    for row in census_rows(p):
-        add_class_totals(totals, row)
-        yield separator + ",\n".join([
-            _CENSUS_ROW_JSON
-            % (d_beta, d_gamma, d_r, count, names[cls], "null" if dim is None else dim)
-            for d_beta, d_gamma, d_r, cls, count, dim in row
-        ])
+    for run in census_runs(p):
+        totals[run.stability] += sum(run.labeled_counts)
+        yield separator + ",\n".join(_census_cells(_CENSUS_CELL_JSON, run, "null"))
         separator = ",\n"
-    named = {names[cls]: count for cls, count in totals.items()}
+    named = {cls.value: count for cls, count in totals.items()}
     tail = _json_text({"slots": p.N, "totals": {**named, "all": sum(totals.values())}})
     yield "\n  ]," + tail[1:]
 
 
 def _census_csv(p: ModuliParams) -> Iterator[str]:
     yield "d_beta,d_gamma,d_rest,stability,labeled_count,stratum_dimension\n"
-    names = {cls: cls.value for cls in StabilityClass}
     totals = dict.fromkeys(StabilityClass, 0)
-    for row in census_rows(p):
-        add_class_totals(totals, row)
-        # ints and fixed class names, none of which csv.writer would quote
-        yield "".join([
-            _CENSUS_ROW_CSV
-            % (d_beta, d_gamma, d_r, names[cls], count, "" if dim is None else dim)
-            for d_beta, d_gamma, d_r, cls, count, dim in row
-        ])
-    yield "".join(f"# total {names[cls]} {count}\n" for cls, count in totals.items())
+    for run in census_runs(p):
+        totals[run.stability] += sum(run.labeled_counts)
+        yield "".join(_census_cells(_CENSUS_CELL_CSV, run, ""))
+    yield "".join(f"# total {cls.value} {count}\n" for cls, count in totals.items())
     yield f"# total all {sum(totals.values())}\n"
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
     p = _bounded_moduli(args)
     _warn_degree(p)
-    # each row of cells is written as soon as it is computed, so the text
+    # each run of cells is written as soon as it is computed, so the text
     # is never held whole
     pieces = _census_json(p) if args.format == "json" else _census_csv(p)
     with _opened(args.output) as out:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidGenusError
 
@@ -125,10 +125,16 @@ class CensusRow(NamedTuple):
     stratum_dim: int | None
 
 
-def add_class_totals(totals: dict[StabilityClass, int], cells: Iterable[CensusRow]) -> None:
-    """Add the labeled counts of cells to totals, one sum per run of equal class."""
-    for cls, run in groupby(cells, attrgetter("stability")):
-        totals[cls] += sum(map(attrgetter("labeled_count"), run))
+class CensusRun(NamedTuple):
+    """Consecutive cells of row d_beta, all of one class, field by field: cell k
+    has d_gamma[k], d_r[k], labeled_counts[k] and, if stable, stratum_dims[k]."""
+
+    d_beta: int
+    d_gamma: range
+    d_r: range
+    stability: StabilityClass
+    labeled_counts: list[int]
+    stratum_dims: range | None
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,8 @@ class CensusResult:
     def class_totals(self) -> dict[StabilityClass, int]:
         """Labeled count of every class, in one pass over runs of equal class."""
         totals = dict.fromkeys(StabilityClass, 0)
-        add_class_totals(totals, self.rows)
+        for cls, cells in groupby(self.rows, attrgetter("stability")):
+            totals[cls] += sum(map(attrgetter("labeled_count"), cells))
         return totals
 
     def class_total(self, cls: StabilityClass) -> int:
@@ -154,9 +161,9 @@ class CensusResult:
         return sum(r.labeled_count for r in self.rows)
 
 
-def census_rows(p: ModuliParams) -> Iterator[list[CensusRow]]:
-    """Exhaustive classification of all (d_beta, d_gamma) cells, one row of
-    d_beta at a time: the cells (d_beta, 0), ..., (d_beta, N - d_beta).
+def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
+    """Exhaustive classification of all (d_beta, d_gamma) cells, as runs of
+    constant class in order of (d_beta, d_gamma).
 
     Each cell carries the number of labeled partitions realizing it,
     the multinomial N! / (d_beta! d_gamma! d_r!), so the grand total is
@@ -169,39 +176,34 @@ def census_rows(p: ModuliParams) -> Iterator[list[CensusRow]]:
     belongs to the cell at d_gamma.  Both divisions are exact.
 
     `classify_counts` sees d_gamma only through comparisons with
-    gamma_bound, so the class is constant on each of the ranges
-    [0, gamma_bound), {gamma_bound} and (gamma_bound, N - d_beta] of a row;
-    it is asked once per nonempty range, at the range's first cell.  A row
-    is computed only when it is asked for, so a reader that writes each row
-    out holds one row at a time.
+    gamma_bound, so a row is at most three runs: its nonempty ranges among
+    [0, gamma_bound), {gamma_bound} and (gamma_bound, N - d_beta].  The
+    class is asked once per run, at its first cell, and a run is computed
+    only when it is asked for.
     """
     N = p.N
-    g = p.g
-    gamma_bound = p.gamma_bound
-    stable = StabilityClass.STABLE
-    new_row = CensusRow._make  # from one tuple: about half the cost of CensusRow(...)
     head = 1
     for d_beta in range(N + 1):
         width = N + 1 - d_beta
-        cut = min(max(gamma_bound, 0), width)
-        cut_after = min(max(gamma_bound + 1, 0), width)
+        cut, cut_after = (min(max(b, 0), width) for b in (p.gamma_bound, p.gamma_bound + 1))
         count = head
-        row = []
         for start, stop in ((0, cut), (cut, cut_after), (cut_after, width)):
             if start == stop:
                 continue
             cls = classify_counts(p, d_beta, start)
-            is_stable = cls is stable
-            for d_gamma in range(start, stop):
-                d_r = N - d_beta - d_gamma
-                row.append(new_row((d_beta, d_gamma, d_r, cls, count,
-                                    g + d_r if is_stable else None)))
-                count = count * d_r // (d_gamma + 1)
-        yield row
+            d_r = range(N - d_beta - start, N - d_beta - stop, -1)
+            counts = []
+            for r, next_gamma in zip(d_r, range(start + 1, stop + 1)):
+                counts.append(count)
+                count = count * r // next_gamma
+            stable = cls is StabilityClass.STABLE
+            dims = range(p.g + d_r.start, p.g + d_r.stop, -1) if stable else None
+            yield CensusRun(d_beta, range(start, stop), d_r, cls, counts, dims)
         head = head * (N - d_beta) // (d_beta + 1)
 
 
-
 def census(p: ModuliParams) -> CensusResult:
-    """The whole table of `census_rows`, every cell in order of (d_beta, d_gamma)."""
-    return CensusResult(p, tuple(chain.from_iterable(census_rows(p))))
+    """The whole table of `census_runs`, each run expanded into its cells."""
+    cells = (map(CensusRow, repeat(r.d_beta), r.d_gamma, r.d_r, repeat(r.stability),
+                 r.labeled_counts, r.stratum_dims or repeat(None)) for r in census_runs(p))
+    return CensusResult(p, tuple(chain.from_iterable(cells)))

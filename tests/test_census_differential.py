@@ -1,12 +1,15 @@
-"""The census against its per-cell reference, row by row and byte by byte.
+"""The census against its per-cell reference, cell by cell and byte by byte.
 
-`census` gets its counts from recurrences along each row and asks
-`classify_counts` once per range of constant class; `cli` writes the JSON
-and CSV rows from fixed templates.  `tests/census_reference.py` keeps the
-per-cell table and the `json.dumps`/`csv.writer` emission they replaced.
-Every cell is also checked against a per-cell oracle written here: the
-multinomial from `math.comb`, the class from `classify_counts` and the
-stratum dimension g + d_r of stable cells.
+`census_runs` gets its counts from recurrences along each row and asks
+`classify_counts` once per run of constant class; `cli` fills one JSON or
+CSV cell template per run.  `tests/census_reference.py` keeps the per-cell
+table and the `json.dumps`/`csv.writer` emission they replaced.  Every
+cell of every (genus, degree) in the grid is checked against a per-cell
+oracle written here: its position in (d_beta, d_gamma) order with
+d_r = N - d_beta - d_gamma, the multinomial from `math.comb`, the class
+from `classify_counts` and the stratum dimension g + d_r of stable cells.
+The reference table, which checks the same four facts, is built only at
+the genera in LIVE_GENERA, where its emission is compared too.
 
 The grid is every degree from -g-1 to g+1 for g in 2..30 (inside, at and
 outside the Milnor-Wood range, where gamma_bound runs from below 0 to past
@@ -17,11 +20,11 @@ reference through json.dumps is what dominates the cost; at the genera in
 LIVE_GENERA the reference is also emitted, and compared with both the CLI
 and the digest file, so a stale digest file fails.
 
-The CLI writes the census one row of d_beta at a time, as `census_rows`
-yields it.  The last tests pin what that buys and what it must keep: a
-bounded allocation peak at genus 100, rows that come out before the rest
-of the table is built, and one `error:` line with exit 1 when the reader
-of the output goes away.
+The CLI writes the census one run at a time, as `census_runs` yields it.
+The last tests pin what that buys and what it must keep: a bounded
+allocation peak at genus 100, runs that partition each row of d_beta and
+come out before the rest of the table is built, and one `error:` line
+with exit 1 when the reader of the output goes away.
 """
 
 import contextlib
@@ -33,7 +36,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import chain
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -45,7 +49,7 @@ from su12fiber.stability import (
     ModuliParams,
     StabilityClass,
     census,
-    census_rows,
+    census_runs,
     classify_counts,
 )
 
@@ -60,13 +64,15 @@ def digests():
 
 @pytest.fixture(scope="module", params=GENERA, ids=str)
 def tables(request):
-    """Reference table per degree at one genus, shared by both grid tests.
+    """Reference table per degree at one genus, shared by both grid tests;
+    None for every degree of a genus outside LIVE_GENERA.
 
     A module-scoped parametrized fixture makes pytest run both tests for one
     genus before it builds the tables of the next.
     """
     g = request.param
-    return g, {d: reference.census(ModuliParams(g, d)) for d in degrees(g)}
+    build = reference.census if g in LIVE_GENERA else lambda p: None
+    return g, {d: build(ModuliParams(g, d)) for d in degrees(g)}
 
 
 @functools.lru_cache(maxsize=1)
@@ -100,11 +106,12 @@ def test_census_rows_match_reference_and_oracle(tables):
     for d, expected in by_degree.items():
         p = ModuliParams(g, d)
         rows = census(p).rows
-        assert [tuple(r) for r in rows] == [
-            (r.d_beta, r.d_gamma, r.d_r, r.stability, r.labeled_count, r.stratum_dim)
-            for r in expected.rows
-        ], (g, d)
         check_against_oracle(p, rows)
+        if expected is not None:
+            assert [tuple(r) for r in rows] == [
+                (r.d_beta, r.d_gamma, r.d_r, r.stability, r.labeled_count, r.stratum_dim)
+                for r in expected.rows
+            ], (g, d)
 
 
 def test_census_cli_is_byte_identical_to_reference(tables):
@@ -177,17 +184,29 @@ def test_census_cli_memory_is_bounded_by_a_row(fmt):
 
 @pytest.mark.parametrize("g", [2, 17, 100])
 def test_census_rows_are_the_rows_of_d_beta_in_order(g):
+    """The runs partition the cells in (d_beta, d_gamma) order: at most three
+    to a row of d_beta, neighbours of different class, and every field of a
+    run as long as its range of d_gamma."""
     N = 4 * g - 4
     # gamma_bound = 2(g - 1 + d): below 0, inside [0, N], at N and past N
     for d in (-g, 0, g - 1, g):
         p = ModuliParams(g, d)
-        rows = list(census_rows(p))
-        assert len(rows) == N + 1
-        for d_beta, row in enumerate(rows):
-            assert [(r.d_beta, r.d_gamma) for r in row] == [
-                (d_beta, d_gamma) for d_gamma in range(N + 1 - d_beta)
-            ], (g, d)
-        assert tuple(chain.from_iterable(rows)) == census(p).rows, (g, d)
+        runs = list(census_runs(p))
+        assert [(run.d_beta, c) for run in runs for c in run.d_gamma] == [
+            (b, c) for b in range(N + 1) for c in range(N + 1 - b)
+        ], (g, d)
+        for d_beta, row in groupby(runs, attrgetter("d_beta")):
+            row = list(row)
+            assert len(row) <= 3, (g, d, d_beta)
+            for before, after in zip(row, row[1:]):
+                assert before.stability is not after.stability, (g, d, d_beta)
+        for run in runs:
+            start, stop = N - run.d_beta - run.d_gamma.start, N - run.d_beta - run.d_gamma.stop
+            assert run.d_r == range(start, stop, -1), (g, d, run)
+            assert len(run.labeled_counts) == len(run.d_gamma), (g, d, run)
+            stable = run.stability is StabilityClass.STABLE
+            dims = range(g + start, g + stop, -1) if stable else None
+            assert run.stratum_dims == dims, (g, d, run)
 
 
 def test_census_first_row_comes_before_the_rest_is_built(monkeypatch):
@@ -199,10 +218,11 @@ def test_census_first_row_comes_before_the_rest_is_built(monkeypatch):
 
     monkeypatch.setattr(stability, "classify_counts", counted)
     p = ModuliParams(100, 7)
-    first = next(census_rows(p))
-    assert [(r.d_beta, r.d_gamma) for r in first] == [(0, c) for c in range(p.N + 1)]
-    # one class per nonempty range of the first row, none from a later row
-    assert calls == [0, 0, 0]
+    first = next(census_runs(p))
+    assert (first.d_beta, first.d_gamma) == (0, range(p.gamma_bound))
+    assert first.stability is StabilityClass.STABLE
+    # the class of the first run only, none from a later run or row
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -37,7 +37,7 @@ PINNED_IMPORTS = {
         "errors": "InvalidGenusError LengthMismatchError",
         "git_engine": "GitClass Linearization bruteforce_search classify_closed_form "
         "s_equivalence_representative",
-        "stability": "ModuliParams StabilityClass add_class_totals census_rows "
+        "stability": "CensusRun ModuliParams StabilityClass census_runs "
         "classify_counts milnor_wood_admits_stable polystable_split_degrees",
     },
     # no stability: the labeled-partition view of a configuration is test-only
