@@ -19,6 +19,14 @@ read-only views built on demand.
 Series are coefficient vectors of fixed length T; all ring operations stay
 at one order and refuse to mix orders.  A series is a unit iff its constant
 term is nonzero.
+
+Values are immutable and in lowest terms, so an operation whose result is
+one of its operands may return that operand: a sum with the zero series,
+and a product with the constant 1 or -1, return the other operand or its
+negation without arithmetic.  Mat2 is frozen as well, and det() computes
+a*d - b*c once per matrix and keeps it on the instance, outside the
+dataclass fields, so equality, hashing, repr and dataclasses.replace
+never see it.
 """
 
 from __future__ import annotations
@@ -118,6 +126,8 @@ class Scalar:
     def of(x: ScalarLike) -> "Scalar":
         if isinstance(x, Scalar):
             return x
+        if x.__class__ is int:  # not bool, which keeps the Fraction path
+            return _scalar(x, 0, 1)
         return Scalar(_as_fraction(x))
 
     @staticmethod
@@ -363,6 +373,8 @@ class TruncatedSeries:
             )
 
     def _coerce(self, other: Union["TruncatedSeries", ScalarLike]) -> "TruncatedSeries":
+        if other.__class__ is TruncatedSeries and len(other._a) == len(self._a):
+            return other
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             return other
@@ -370,6 +382,11 @@ class TruncatedSeries:
 
     def _plus(self, o: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign * o over the least common denominator."""
+        # the zero series has d == 1, which rules most operands out at once
+        if o._d == 1 and o.is_zero():
+            return self
+        if self._d == 1 and self.is_zero():
+            return o if sign == 1 else -o
         g = gcd(self._d, o._d)
         f, h = o._d // g, sign * (self._d // g)
         return _series(
@@ -395,10 +412,14 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         s, o = self, self._coerce(other)
         # the loop skips zeros of its outer operand: make that the sparser one
-        if o._a.count(0) + o._b.count(0) > s._a.count(0) + s._b.count(0):
-            s, o = o, s
+        zeros, zo = s._a.count(0) + s._b.count(0), o._a.count(0) + o._b.count(0)
+        if zo > zeros:
+            s, o, zeros = o, s, zo
         u, v = o._a, o._b
         T = len(u)
+        # the constants 1 and -1: a single numerator +-1 at index 0, d == 1
+        if zeros == 2 * T - 1 and s._d == 1 and s._a[0] in (1, -1):
+            return o if s._a[0] == 1 else -o
         A = [0] * T
         B = [0] * T
         # schoolbook convolution truncated at T, with s^2 = 2:
@@ -484,7 +505,7 @@ class Mat2:
     entries: tuple[SeriesPair, SeriesPair]
 
     def __post_init__(self) -> None:
-        orders = {e.order for row in self.entries for e in row}
+        orders = {len(e._a) for row in self.entries for e in row}
         if len(orders) != 1:
             raise OrderMismatchError(f"mixed truncation orders in matrix: {sorted(orders)}")
 
@@ -533,8 +554,14 @@ class Mat2:
         )
 
     def det(self) -> TruncatedSeries:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
+        # computed once per matrix and kept beside the frozen fields, so it
+        # stays out of ==, hash, repr and dataclasses.replace
+        det = self.__dict__.get("_det")
+        if det is None:
+            (a, b), (c, d) = self.entries
+            det = a * d - b * c
+            object.__setattr__(self, "_det", det)
+        return det
 
     def adjugate(self) -> "Mat2":
         (a, b), (c, d) = self.entries

@@ -1,5 +1,5 @@
 """Write or check cli_surface_digests.txt: one digest of what the command line
-prints for each argv of a fixed grid, keyed by Python minor version.
+prints for each argv of a fixed grid, keyed by Python version.
 
 Each case runs ``cli.main(argv)`` in process, in a temporary working directory
 that holds the input file ``configs.json``, with ``COLUMNS=80``.  Its digest
@@ -7,14 +7,18 @@ is the sha256 of (exit code, stdout, stderr).  argparse wraps help and usage
 text differently across minor versions, so each minor has its own digests.
 Patch releases change argparse text as well (3.13.13 no longer quotes the
 choices in an invalid-choice error, and reads a leading ``--`` differently),
-so the committed digests hold for the releases they were recorded under:
-CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
+so a release whose text differs from its minor's set gets a set of its own,
+keyed by the exact release.  An interpreter is checked against its exact
+release's set when there is one and against its minor's set otherwise.  The
+minor sets were recorded under CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0;
+the one release set under CPython 3.13.13.
 
-    PYTHONPATH=src python3 tests/make_cli_digests.py          # record this minor
-    PYTHONPATH=src python3 tests/make_cli_digests.py --check  # compare, exit 1 on a difference
+    PYTHONPATH=src python3 tests/make_cli_digests.py            # record the set --check reads
+    PYTHONPATH=src python3 tests/make_cli_digests.py --release  # record this exact release
+    PYTHONPATH=src python3 tests/make_cli_digests.py --check    # compare, exit 1 on a difference
 
 Record after a deliberate change to the command-line surface, under every
-Python the project supports.  Uses the standard library and the package only.
+Python that has a set.  Uses the standard library and the package only.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from su12fiber import cli
 
 DIGESTS = Path(__file__).with_name("cli_surface_digests.txt")
 MINOR = "%d.%d" % sys.version_info[:2]
+RELEASE = "%d.%d.%d" % sys.version_info[:3]
 
 # two genus-2 configurations, one GIT-stable and one unstable
 CONFIGS = (
@@ -103,7 +108,7 @@ def surface() -> dict[str, str]:
 
 
 def recorded() -> dict[str, dict[str, str]]:
-    """Minor version -> case id -> digest, as committed."""
+    """Minor version or exact release -> case id -> digest, as committed."""
     table: dict[str, dict[str, str]] = {}
     if DIGESTS.exists():
         for line in DIGESTS.read_text(encoding="utf-8").splitlines():
@@ -112,28 +117,36 @@ def recorded() -> dict[str, dict[str, str]]:
     return table
 
 
+def version_key(table: dict[str, dict[str, str]]) -> str:
+    """The set this interpreter is checked against: its release's, else its minor's."""
+    return RELEASE if RELEASE in table else MINOR
+
+
 def main(args: list[str]) -> int:
     table = recorded()
+    key = version_key(table)
     if args == ["--check"]:
-        if MINOR not in table:
-            print(f"no digests recorded for Python {MINOR}")
+        if key not in table:
+            print(f"no digests recorded for Python {RELEASE} or {MINOR}")
             return 1
-        expected, actual = table[MINOR], surface()
+        expected, actual = table[key], surface()
         cases = expected.keys() | actual.keys()
         bad = sorted(case for case in cases if expected.get(case) != actual.get(case))
         for case in bad:
-            print(f"differs on Python {MINOR}: {case}")
-        print(f"{len(cases) - len(bad)} of {len(cases)} cases match on Python {MINOR}")
+            print(f"differs on Python {key}: {case}")
+        print(f"{len(cases) - len(bad)} of {len(cases)} cases match on Python {key}")
         return 1 if bad else 0
-    if args:
+    if args == ["--release"]:
+        key = RELEASE
+    elif args:
         print(__doc__)
         return 1
-    table[MINOR] = surface()
+    table[key] = surface()
     DIGESTS.write_text(
         "".join(
-            f"{minor} {digest} {case}\n"
-            for minor in sorted(table, key=lambda m: tuple(map(int, m.split("."))))
-            for case, digest in table[minor].items()
+            f"{version} {digest} {case}\n"
+            for version in sorted(table, key=lambda v: tuple(map(int, v.split("."))))
+            for case, digest in table[version].items()
         ),
         encoding="utf-8",
     )

@@ -588,8 +588,10 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_cli_surface_matches_its_digests():
     # help, usage, errors and a valid call of each subcommand, byte for byte
-    if make_cli_digests.MINOR not in make_cli_digests.recorded():
-        pytest.skip(f"no CLI surface digests recorded for Python {make_cli_digests.MINOR}")
+    table = make_cli_digests.recorded()
+    key = make_cli_digests.version_key(table)
+    if key not in table:
+        pytest.skip(f"no CLI surface digests recorded for Python {key}")
     result = run_python(make_cli_digests.__file__, "--check")
     assert result.returncode == 0, result.stdout
 

@@ -1,7 +1,8 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su12fiber.errors import NonUnitError, OrderMismatchError
@@ -219,6 +220,22 @@ def test_det_examples():
     # hand expansion: (1+zeta)*zeta - zeta*zeta = zeta
     m = Mat2(((one + zeta, zeta), (zeta, zeta)))
     assert m.det() == zeta
+
+
+@settings(max_examples=25)
+@given(mat2(), mat2())
+def test_det_is_kept_out_of_the_dataclass_surface(m, other):
+    fresh = Mat2(m.entries)
+    first = m.det()
+    assert m.det() == first and m.det() == fresh.det()
+    # a matrix whose determinant was computed is the same value as one whose was not
+    assert m == fresh and hash(m) == hash(fresh)
+    assert repr(m) == repr(fresh) and str(m) == str(fresh)
+    # replace builds a new matrix, which computes its own determinant
+    replaced = dataclasses.replace(m, entries=other.entries)
+    (a, b), (c, d) = other.entries
+    assert replaced == other and replaced.det() == a * d - b * c
+    assert [f.name for f in dataclasses.fields(Mat2)] == ["entries"]
 
 
 @given(mat2())

@@ -8,6 +8,7 @@ Agreement is exact: component values, strings, and hashes.
 """
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -155,6 +156,64 @@ def test_scalar_with_series_matches_reference(data, order):
     assert_same_series(cn * xn, c_old * xo)
 
 
+# the kernel returns an operand unchanged, or negated, for a zero summand
+# and for a factor 1 or -1; the neighbouring kinds must take the full path
+IDENTITY_KINDS = ("0", "1", "-1", "1/2", "sqrt2", "monomial", "dense")
+_CONSTANT_PARTS = {
+    "0": (Fraction(0), Fraction(0)),
+    "1": (Fraction(1), Fraction(0)),
+    "-1": (Fraction(-1), Fraction(0)),
+    "1/2": (Fraction(1, 2), Fraction(0)),
+    "sqrt2": (Fraction(0), Fraction(1)),
+}
+nonzero_components = components.map(lambda f: f or Fraction(1, 3))
+
+
+@st.composite
+def identity_operands(draw, kind, order):
+    zero = (Fraction(0), Fraction(0))
+    if kind == "monomial":
+        parts = [zero] * order
+        parts[draw(st.integers(0, order - 1))] = (
+            draw(nonzero_components), draw(components),
+        )
+    elif kind == "dense":
+        parts = draw(
+            st.lists(st.tuples(nonzero_components, components), min_size=order, max_size=order)
+        )
+    else:
+        parts = [_CONSTANT_PARTS[kind]] + [zero] * (order - 1)
+    return _series_pair(parts, order)
+
+
+def _triple(s):
+    # the packed representation: numerators and shared denominator, lowest terms
+    return s._a, s._b, s._d
+
+
+def assert_lowest_terms(s):
+    a, b, d = _triple(s)
+    assert d > 0 and gcd(d, *a, *b) == 1
+
+
+@pytest.mark.parametrize("kind", IDENTITY_KINDS)
+@settings(max_examples=12, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=32))
+def test_identity_operands_match_reference(kind, data, order):
+    xn, xo = data.draw(identity_operands(kind, order))
+    others = [data.draw(identity_operands(other, order)) for other in IDENTITY_KINDS]
+    # the int forms of the identity operands coerce to the same constants
+    others += [(c, c) for c in (0, 1, -1, True)]
+    for yn, yo in others:
+        for new, old in (
+            (xn * yn, xo * yo), (yn * xn, yo * xo),
+            (xn + yn, xo + yo), (yn + xn, yo + xo),
+            (xn - yn, xo - yo), (yn - xn, yo - xo),
+        ):
+            assert_same_series(new, old)
+            assert_lowest_terms(new)
+
+
 def test_scalar_operators_defer_on_foreign_operands():
     x = exact.Scalar(1, 1)
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
@@ -194,11 +253,6 @@ def test_mat2_matches_reference(data, order):
 
 
 # series constants
-
-
-def _triple(s):
-    # the packed representation: numerators and shared denominator, lowest terms
-    return s._a, s._b, s._d
 
 
 @settings(max_examples=60, deadline=None)
