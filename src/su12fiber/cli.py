@@ -55,7 +55,7 @@ CHECK_FAILURE = 2
 # (interpreter start included), and git-classify spends at most about 3 s
 # on a stable configuration (its rank) and 0.6 to 0.9 s on a non-stable one
 # with --rmax 32, whose count has 1,620 digits, well under the 4,300 Python
-# prints.  The local-model suite at order 32 with 500 cases runs for 5 to 8 s
+# prints.  The local-model suite at order 32 with 500 cases runs for 5 to 9 s
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps

@@ -126,8 +126,6 @@ class Scalar:
     def of(x: ScalarLike) -> "Scalar":
         if isinstance(x, Scalar):
             return x
-        if x.__class__ is int:  # not bool, which keeps the Fraction path
-            return _scalar(x, 0, 1)
         return Scalar(_as_fraction(x))
 
     @staticmethod
@@ -373,8 +371,6 @@ class TruncatedSeries:
             )
 
     def _coerce(self, other: Union["TruncatedSeries", ScalarLike]) -> "TruncatedSeries":
-        if other.__class__ is TruncatedSeries and len(other._a) == len(self._a):
-            return other
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             return other
@@ -505,7 +501,7 @@ class Mat2:
     entries: tuple[SeriesPair, SeriesPair]
 
     def __post_init__(self) -> None:
-        orders = {len(e._a) for row in self.entries for e in row}
+        orders = {e.order for row in self.entries for e in row}
         if len(orders) != 1:
             raise OrderMismatchError(f"mixed truncation orders in matrix: {sorted(orders)}")
 
