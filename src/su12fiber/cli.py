@@ -207,7 +207,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
             _inequality("d_beta", d_beta, "<=", "beta_bound", p.beta_bound),
         ],
         "stability": cls.value,
-        "stratum_dimension": p.g + d_rest if cls is StabilityClass.STABLE else None,
+        "stratum_dimension": p.stratum_dimension(d_rest) if cls is StabilityClass.STABLE else None,
         "split_degrees": (
             list(polystable_split_degrees(p))
             if cls is StabilityClass.STRICTLY_POLYSTABLE

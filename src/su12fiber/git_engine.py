@@ -26,8 +26,10 @@ They must agree everywhere; the test suite and the CLI check that they do.
 
 The search never enumerates the whole space of balanced vectors.  Since a
 witness must be nonvanishing, it lives on the face where the [0:1] slots
-sit at N*r and the [1:0] slots at 0; only the remaining free slots vary,
-and the search walks them in lexicographic order.  The report still gives
+sit at N*r and the [1:0] slots at 0; only the remaining free slots vary.
+That face at power r is the face at power 1 scaled by r, and both
+witnesses are among its first two vectors at r = 1, so the search writes
+them down instead of walking anything.  The report still gives
 the position of the stable witness in the lexicographic sweep of all
 balanced vectors (monomials_enumerated), computed as a rank: per slot,
 the vectors that agree with the witness before it and are smaller in it.
@@ -110,7 +112,8 @@ def bounded_compositions(total: int, cap: int, length: int) -> Iterator[Monomial
     """All vectors in [0, cap]^length with the given sum, lexicographic order.
 
     This is the sweep whose positions monomials_enumerated reports; the
-    search itself walks only the face and never calls it.
+    search never calls it, as it writes its witnesses down and computes
+    their positions in closed form.
     """
     if length == 0:
         if total == 0:
@@ -168,27 +171,6 @@ def _lex_rank(m: Sequence[int], cap: int) -> int:
     return rank
 
 
-def _pack_right(v: list[int], start: int, total: int, cap: int) -> None:
-    """Set v[start:] to its lexicographically first value in [0, cap] summing
-    to total: caps packed to the right."""
-    for k in range(len(v) - 1, start - 1, -1):
-        v[k] = min(cap, total)
-        total -= v[k]
-
-
-def _lex_successor(v: list[int], cap: int) -> bool:
-    """Advance v in place to the next vector in [0, cap]^len(v) with the same
-    sum, in lexicographic order; False when v is already the last one."""
-    suffix = 0
-    for i in range(len(v) - 1, -1, -1):
-        if v[i] < cap and suffix > 0:
-            v[i] += 1
-            _pack_right(v, i + 1, suffix - 1, cap)
-            return True
-        suffix += v[i]
-    return False
-
-
 @dataclass(frozen=True)
 class BruteForceOutcome:
     git_class: GitClass
@@ -199,7 +181,7 @@ class BruteForceOutcome:
 
 
 def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> BruteForceOutcome:
-    """Invariant-monomial search, sweeping powers r = 1..r_max.
+    """Invariant-monomial search over the powers r = 1..r_max.
 
     Semistable iff some balanced exponent vector is nonvanishing at c.
     Stable iff additionally some such witness keeps an interior exponent
@@ -208,75 +190,57 @@ def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> B
     the semistable one is the lexicographically first nonvanishing
     balanced vector, the stable one the first with an interior exponent.
 
-    The search stays independent of classify_closed_form.  Nonvanishing
-    alone fixes every [0:1] slot at cap = N*r and every [1:0] slot at 0,
-    so the nonvanishing balanced vectors are exactly the face
-
-        {m : m_j = cap on [0:1] slots, m_j = 0 on [1:0] slots,
-             the free slots in [0, cap] summing to rest},
-
-    rest = N*r*n - cap * #[0:1].  The face is empty exactly when no free
-    vector in [0, cap]^free sums to rest, that is when rest lies outside
-    [0, cap * #free]; that is a statement about the pinned exponents, not
-    a mark-count inequality.  The pinned slots are constant on the face,
-    so the lexicographic order of the full vectors restricted to it is
-    the lexicographic order of the free slots, and walking them in that
-    order visits the witnesses the full sweep would meet first.  Pinned
-    exponents are never interior, so a witness is stable iff a free slot
-    is interior.  The first face vector packs caps to the right; if it
-    has no interior slot, the second moves one unit left and leaves
-    1 and cap - 1 behind, so for cap >= 2 the walk stops within two face
-    vectors.
+    The search stays independent of classify_closed_form and reasons only
+    from pinned exponents.  Nonvanishing fixes every [0:1] slot at
+    cap = N*r and every [1:0] slot at 0; the free (finite) slots lie in
+    [0, cap] and sum to rest = N*r*n - cap * #[0:1] = cap * k, where
+    k = n - #[0:1].  So rest is a whole number of caps, and the face of
+    nonvanishing balanced vectors at power r is the face at power 1 scaled
+    by r.  Pinned slots are constant on it and never interior, so the face
+    is ordered by its free slots, and a stable witness needs an interior
+    free slot.  The face is nonempty iff 0 <= k <= #free.  Its first
+    vector packs k caps to the right, zeros elsewhere, and has no interior
+    slot: the semistable witness.  It holds an interior vector iff
+    0 < k < #free (sums 0 and cap * #free allow only all zeros and all
+    caps), and the next face vector, (..., 0, 1, cap - 1, cap, ..., cap),
+    is one, since #free >= 2 gives cap >= 2: the stable witness.  Each
+    witness therefore exists at power 1 or at no power, and both are
+    written down at r = 1 without walking the face.
 
     monomials_enumerated is the number of balanced vectors the full
     lexicographic sweep over r = 1, 2, ... visits up to and including the
-    stable witness: the full counts of the earlier powers plus the rank
-    of the witness plus one; with no stable witness, the full count up to
-    r_max.  A power is counted only once its face holds no stable
-    witness, so a stable configuration computes one rank and no count.
-    The rank is one inclusion-exclusion sum per slot and the count one
-    sum per power, so the work grows with N and r_max, never with the
-    length of the sweep; git-classify bounds both.
+    stable witness: its rank plus one, or with no stable witness the full
+    count of every power up to r_max.  The rank is one inclusion-exclusion
+    sum per slot and the count one per power, so the work grows with N and
+    r_max, never with the length of the sweep; git-classify bounds both.
     """
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    n_zero = sum(1 for p in c.points if p.is_zero())
+    cap = lin.N
+    m = [cap if p.is_zero() else 0 for p in c.points]
     free_slots = [j for j, p in enumerate(c.points) if p.is_finite()]
-    fixed = not free_slots
+    k = lin.n - sum(1 for p in c.points if p.is_zero())
+    cls = GitClass.UNSTABLE
     semistable_witness: Optional[tuple[int, MonomialIndex]] = None
     stable_witness: Optional[tuple[int, MonomialIndex]] = None
-    enumerated = 0
-    for r in range(1, r_max + 1):
-        cap = lin.N * r
-        rest = lin.N * r * lin.n - cap * n_zero
-        if 0 <= rest <= cap * len(free_slots):
-            m = [cap if p.is_zero() else 0 for p in c.points]
-            v = [0] * len(free_slots)
-            _pack_right(v, 0, rest, cap)
-            while True:
-                for j, vj in zip(free_slots, v):
-                    m[j] = vj
-                if semistable_witness is None:
-                    semistable_witness = (r, tuple(m))
-                if any(0 < vj < cap for vj in v):
-                    stable_witness = (r, tuple(m))
-                    break
-                if not _lex_successor(v, cap):
-                    break
-        if stable_witness is not None:
-            enumerated += _lex_rank(stable_witness[1], cap) + 1
-            break
-        enumerated += composition_count(lin.N * r * lin.n, cap, lin.N)
+    if 0 <= k <= len(free_slots):
+        for j in free_slots[len(free_slots) - k:]:
+            m[j] = cap
+        cls, semistable_witness = GitClass.STRICTLY_SEMISTABLE, (1, tuple(m))
+        # two free slots at least, so c is not fixed by the torus
+        if 0 < k < len(free_slots):
+            m[free_slots[-k - 1]], m[free_slots[-k]] = 1, cap - 1
+            cls, stable_witness = GitClass.STABLE, (1, tuple(m))
 
-    if stable_witness is not None and not fixed:
-        cls = GitClass.STABLE
-    elif semistable_witness is not None:
-        cls = GitClass.STRICTLY_SEMISTABLE
+    if stable_witness is not None:
+        enumerated = _lex_rank(stable_witness[1], cap) + 1
     else:
-        cls = GitClass.UNSTABLE
-    return BruteForceOutcome(cls, semistable_witness, stable_witness, enumerated, fixed)
+        enumerated = sum(composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
+                         for r in range(1, r_max + 1))
+    return BruteForceOutcome(cls, semistable_witness, stable_witness, enumerated,
+                             not free_slots)
 
 
 def classify_bruteforce(c: Configuration, lin: Linearization, r_max: int = 1) -> GitClass:

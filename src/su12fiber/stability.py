@@ -71,6 +71,10 @@ class ModuliParams:
         """Strict upper bound for d_beta in the stable range, 2(g-1-d)."""
         return 2 * (self.g - 1 - self.d)
 
+    def stratum_dimension(self, d_r: int) -> int:
+        """Dimension g + d_r of the stable stratum with d_r slots labeled neither."""
+        return self.g + d_r
+
 
 def milnor_wood_admits_stable(g: int, d: int) -> bool:
     """Whether stable objects can exist at all: |d| < g - 1.
@@ -167,7 +171,8 @@ def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
 
     Each cell carries the number of labeled partitions realizing it,
     the multinomial N! / (d_beta! d_gamma! d_r!), so the grand total is
-    3^N.  Stable cells also carry the stratum dimension g + d_r.
+    3^N.  Stable cells also carry the stratum dimension
+    (ModuliParams.stratum_dimension).
 
     The counts come from exact integer recurrences instead of binomials
     per cell.  The first cell of row d_beta holds head = C(N, d_beta), with
@@ -197,7 +202,9 @@ def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
                 counts.append(count)
                 count = count * r // next_gamma
             stable = cls is StabilityClass.STABLE
-            dims = range(p.g + d_r.start, p.g + d_r.stop, -1) if stable else None
+            # the dimension steps with d_r, so its ends give the whole range
+            dims = (range(p.stratum_dimension(d_r.start), p.stratum_dimension(d_r.stop), -1)
+                    if stable else None)
             yield CensusRun(d_beta, range(start, stop), d_r, cls, counts, dims)
         head = head * (N - d_beta) // (d_beta + 1)
 

@@ -1,10 +1,11 @@
 """Test-only reference: the full sweep of git_engine.bruteforce_search.
 
 This is the search `su12fiber.git_engine` ran before it moved to the face
-cut out by the marks.  It walks every balanced exponent vector of every
-power in lexicographic order through `bounded_compositions`, filters by
+cut out by the marks and then wrote that face's witnesses down in closed
+form.  It walks every balanced exponent vector of every power in
+lexicographic order through `bounded_compositions`, filters by
 nonvanishing afterwards and counts each vector it visits, so it shares no
-face, rank or successor code with the package.  Walking the sweep is
+face, witness or rank code with the package.  Walking the sweep is
 what costs here, so it keeps a limit on the sweep's length of its own.
 That limit counts with the dynamic-programming table the package used
 before its closed form, and `lex_rank` is the rank the package computed

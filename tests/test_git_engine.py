@@ -240,19 +240,20 @@ def pattern_config(kinds):
 
 
 def test_face_search_matches_full_sweep_small():
-    # every mark pattern on N <= 5 slots, every weight n, powers up to 2:
-    # same class, witnesses, fixed flag and sweep position
+    # every mark pattern on N <= 5 slots, every weight n, powers up to 2,
+    # and up to 3 on N <= 4, so a witness the sweep met only above power 1
+    # would show: same class, witnesses, fixed flag and sweep position
     cases = 0
     for N in range(1, 6):
         for kinds in itertools.product("zif", repeat=N):
             c = pattern_config(kinds)
             for n in range(N + 1):
                 lin = Linearization(n, N)
-                for r_max in (1, 2):
+                for r_max in (1, 2, 3) if N <= 4 else (1, 2):
                     expected = full_sweep(c, lin, r_max)
                     assert bruteforce_search(c, lin, r_max) == expected, (kinds, n, r_max)
                     cases += 1
-    assert cases == 4008
+    assert cases == 4554
 
 
 @pytest.mark.parametrize("kinds", ["zzffffii", "zzzzffff", "zzzzzfff"])
