@@ -50,12 +50,13 @@ CHECK_FAILURE = 2
 
 # the largest requests accepted, refused before any work.  The genus bound
 # covers stability, census and git-classify alike: at genus 100 a census
-# writes about 24 MB of JSON or 13 MB of CSV in 0.3 s, one run at a time,
-# with a peak RSS of about 17 MB, under 1 MB over the import alone
+# writes about 24 MB of JSON or 13 MB of CSV in 0.3 to 0.4 s, one run at a
+# time, with a peak RSS of about 17 MB, under 1 MB over the import alone
 # (interpreter start included), and git-classify spends at most about 3 s
-# on a stable configuration (its rank) and 0.6 to 0.9 s on a non-stable one
-# with --rmax 32, whose count has 1,620 digits, well under the 4,300 Python
-# prints.  The local-model suite at order 32 with 500 cases runs for 5 to 9 s
+# on a stable configuration (its rank) and 0.7 to 0.9 s with --rmax 32 on
+# a file of non-stable ones, which share one count of 1,620 digits per
+# power, well under the 4,300 Python prints.  The local-model suite at order
+# 32 with 500 cases runs for 5 to 9 s
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps
@@ -249,6 +250,10 @@ def _census_cells(template: str, run: CensusRun, dimension: str) -> Iterator[str
     if run.stratum_dims is not None:
         dimension, fields = "%d", (*fields, run.stratum_dims)
     cell = template % (run.d_beta, run.stability.value, dimension)
+    # one % per cell keeps each string small and the join sizes the run's
+    # text once; one % over the whole run was a few percent faster, but its
+    # result buffer grows and shrinks through the C allocator and raised the
+    # benchmark's peak RSS by 2 to 6 MB
     return map(cell.__mod__, zip(*fields))
 
 

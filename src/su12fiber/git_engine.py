@@ -41,7 +41,7 @@ swept, not by the length of the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 from typing import Iterator, Optional, Sequence
@@ -63,6 +63,9 @@ class Linearization:
 
     n: int
     N: int
+    # balanced vector count per power r, filled by balanced_count as asked
+    _counts: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -73,6 +76,14 @@ class Linearization:
     @staticmethod
     def for_moduli(p: ModuliParams) -> "Linearization":
         return Linearization(p.n, p.N)
+
+    def balanced_count(self, r: int) -> int:
+        """Number of balanced exponent vectors at power r.  It depends only on
+        N, n and r, so it is computed once per power for this linearization,
+        however many configurations are searched under it."""
+        if r not in self._counts:
+            self._counts[r] = composition_count(self.N * r * self.n, self.N * r, self.N)
+        return self._counts[r]
 
 
 MonomialIndex = tuple[int, ...]
@@ -213,6 +224,8 @@ def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> B
     count of every power up to r_max.  The rank is one inclusion-exclusion
     sum per slot and the count one per power, so the work grows with N and
     r_max, never with the length of the sweep; git-classify bounds both.
+    The counts are read through lin.balanced_count, so searches under one
+    linearization compute each power's count once between them.
     """
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
@@ -237,8 +250,7 @@ def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> B
     if stable_witness is not None:
         enumerated = _lex_rank(stable_witness[1], cap) + 1
     else:
-        enumerated = sum(composition_count(lin.N * r * lin.n, lin.N * r, lin.N)
-                         for r in range(1, r_max + 1))
+        enumerated = sum(map(lin.balanced_count, range(1, r_max + 1)))
     return BruteForceOutcome(cls, semistable_witness, stable_witness, enumerated,
                              not free_slots)
 

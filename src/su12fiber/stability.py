@@ -178,34 +178,41 @@ def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
     per cell.  The first cell of row d_beta holds head = C(N, d_beta), with
     head(d_beta + 1) = head(d_beta) * (N - d_beta) // (d_beta + 1); along the
     row, count(d_gamma + 1) = count(d_gamma) * d_r // (d_gamma + 1), where d_r
-    belongs to the cell at d_gamma.  Both divisions are exact.
+    belongs to the cell at d_gamma.  Both divisions are exact.  The row is a
+    palindrome, count(d_gamma) = count(N - d_beta - d_gamma), so the
+    recurrence runs over its first half only and the second half mirrors it.
 
     `classify_counts` sees d_gamma only through comparisons with
     gamma_bound, so a row is at most three runs: its nonempty ranges among
-    [0, gamma_bound), {gamma_bound} and (gamma_bound, N - d_beta].  The
-    class is asked once per run, at its first cell, and a run is computed
-    only when it is asked for.
+    [0, gamma_bound), {gamma_bound} and (gamma_bound, N - d_beta], each
+    holding its slice of the row's counts.  The class is asked once per
+    run, at its first cell, and a row is computed only when its first run
+    is asked for.
     """
     N = p.N
     head = 1
     for d_beta in range(N + 1):
         width = N + 1 - d_beta
-        cut, cut_after = (min(max(b, 0), width) for b in (p.gamma_bound, p.gamma_bound + 1))
+        # the first ceil(width / 2) cells; swapping the gamma and r labels
+        # keeps the multinomial, so the rest are these reversed, the middle
+        # cell of an odd width left out
         count = head
+        half = [count]
+        for d_gamma in range(1, (width + 1) // 2):
+            count = count * (width - d_gamma) // d_gamma
+            half.append(count)
+        row = half + half[-1 - width % 2::-1]
+        cut, cut_after = (min(max(b, 0), width) for b in (p.gamma_bound, p.gamma_bound + 1))
         for start, stop in ((0, cut), (cut, cut_after), (cut_after, width)):
             if start == stop:
                 continue
             cls = classify_counts(p, d_beta, start)
             d_r = range(N - d_beta - start, N - d_beta - stop, -1)
-            counts = []
-            for r, next_gamma in zip(d_r, range(start + 1, stop + 1)):
-                counts.append(count)
-                count = count * r // next_gamma
             stable = cls is StabilityClass.STABLE
             # the dimension steps with d_r, so its ends give the whole range
             dims = (range(p.stratum_dimension(d_r.start), p.stratum_dimension(d_r.stop), -1)
                     if stable else None)
-            yield CensusRun(d_beta, range(start, stop), d_r, cls, counts, dims)
+            yield CensusRun(d_beta, range(start, stop), d_r, cls, row[start:stop], dims)
         head = head * (N - d_beta) // (d_beta + 1)
 
 

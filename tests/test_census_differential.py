@@ -1,9 +1,10 @@
 """The census against its per-cell reference, cell by cell and byte by byte.
 
-`census_runs` gets its counts from recurrences along each row and asks
-`classify_counts` once per run of constant class; `cli` fills one JSON or
-CSV cell template per run.  `tests/census_reference.py` keeps the per-cell
-table and the `json.dumps`/`csv.writer` emission they replaced.  Every
+`census_runs` gets its counts from a recurrence over the first half of each
+row of d_beta, mirrors it for the second half, and asks `classify_counts`
+once per run of constant class; `cli` fills one JSON or CSV cell template
+per run.  `tests/census_reference.py` keeps the per-cell table and the
+`json.dumps`/`csv.writer` emission they replaced.  Every
 cell of every (genus, degree) in the grid is checked against a per-cell
 oracle written here: its position in (d_beta, d_gamma) order with
 d_r = N - d_beta - d_gamma, the multinomial from `math.comb`, the class

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import make_cli_digests
-from su12fiber import cli
+from su12fiber import cli, git_engine
 from su12fiber.configuration import (
     Configuration,
     FiberPoint,
@@ -29,7 +29,7 @@ from su12fiber.configuration import (
     config_to_json,
 )
 from su12fiber.exact import MAX_LITERAL_LENGTH, Scalar
-from su12fiber.git_engine import GitClass
+from su12fiber.git_engine import GitClass, composition_count
 from su12fiber.stability import ModuliParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -320,6 +320,35 @@ def test_git_classify_prints_the_longest_count_at_the_rmax_bound(tmp_path, capsy
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 0 and err == ""
     assert int(out.splitlines()[1].split(",")[5]) == report["monomials_enumerated"]
+
+
+def test_git_classify_counts_each_power_once_per_call(tmp_path, capsys, monkeypatch):
+    # every non-stable configuration reports the balanced count of each
+    # power, which depends only on (N, n, r): a file of k of them computes
+    # it r_max times, not k * r_max; a stable one computes no count at all
+    calls = []
+
+    def counting(total, cap, length):
+        calls.append((total, cap, length))
+        return composition_count(total, cap, length)
+
+    monkeypatch.setattr(git_engine, "composition_count", counting)
+    stable, semistable, unstable = one_config_per_class(5, 1)
+    rmax = 4
+    path = write_configs(tmp_path / "c.json", [unstable, semistable, stable, unstable, unstable])
+    code, payload, err = run_json(capsys, "git-classify", "--genus", "5", "--degree", "1",
+                                  "--rmax", str(rmax), "--input", path)
+    assert code == 0 and err == "" and payload["all_agree"] is True
+    N, n = 16, 10
+    assert calls == [(N * r * n, N * r, N) for r in range(1, rmax + 1)]
+    counts = [r["monomials_enumerated"] for r in payload["configurations"]]
+    expected = sum(composition_count(N * r * n, N * r, N) for r in range(1, rmax + 1))
+    assert counts[:2] + counts[3:] == [expected] * 4
+    calls.clear()
+    path = write_configs(tmp_path / "s.json", [stable] * 3)
+    assert run(capsys, "git-classify", "--genus", "5", "--degree", "1", "--rmax", str(rmax),
+               "--input", path)[0] == 0
+    assert calls == []
 
 
 def test_git_classify_refuses_rmax_past_its_bound(capsys):
