@@ -15,12 +15,11 @@ uses; everything else is imported from its submodule.
 from .configuration import Configuration, FiberPoint
 from .exact import Scalar
 from .git_engine import Linearization, classify_bruteforce, classify_closed_form
-from .local_model import EvaluationCovector, hecke_frame, higgs_from_kernel_frame, smith_form
+from .local_model import hecke_frame, higgs_from_kernel_frame, smith_form
 from .stability import ModuliParams, census
 
 __all__ = [
     "Configuration",
-    "EvaluationCovector",
     "FiberPoint",
     "Linearization",
     "ModuliParams",

@@ -28,6 +28,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
 from . import local_model
 from .configuration import Configuration, config_from_json, config_to_json
 from .errors import InvalidGenusError, LengthMismatchError
+from .exact import DEFAULT_ORDER
 from .git_engine import (
     GitClass,
     Linearization,
@@ -413,7 +414,8 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
 def _local_verify_arguments(p: argparse.ArgumentParser) -> None:
     _add_common(p, moduli=False)
     p.add_argument(
-        "--truncation", type=int, default=8, help="series truncation order (default 8)"
+        "--truncation", type=int, default=DEFAULT_ORDER,
+        help=f"series truncation order (default {DEFAULT_ORDER})",
     )
     p.add_argument("--seed", type=int, default=0, help="suite RNG seed (default 0)")
     p.add_argument(

@@ -255,8 +255,8 @@ def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> B
                              not free_slots)
 
 
-def classify_bruteforce(c: Configuration, lin: Linearization, r_max: int = 1) -> GitClass:
-    return bruteforce_search(c, lin, r_max).git_class
+def classify_bruteforce(c: Configuration, lin: Linearization) -> GitClass:
+    return bruteforce_search(c, lin).git_class
 
 
 def s_equivalence_representative(c: Configuration, lin: Linearization) -> Configuration:

@@ -1,17 +1,18 @@
 """Local models of simple Hecke modifications and Higgs normal forms.
 
 Everything here happens over the truncated local ring R = Q(sqrt2)[[zeta]]
-mod zeta^T at one marked point.  A covector xi on the rank-2 fiber cuts out
-the modified sheaf as the kernel of the evaluation map; the kernel is free,
-and hecke_frame writes down a 2x2 frame of it whose determinant is exactly
-zeta by construction, with no normalization step.  Its rows are the two
-Higgs components:
+mod zeta^T at one marked point.  A point [x0:x1] of P^1, the configuration's
+FiberPoint, is the Hecke parameter there: the evaluation map
+(f0, f1) -> x0 f0(0) + x1 f1(0) on the rank-2 fiber cuts out the modified
+sheaf as its kernel.  The kernel is free, and hecke_frame writes down a 2x2
+frame of it whose determinant is exactly zeta by construction, with no
+normalization step.  Its rows are the two Higgs components:
 
     eps = [[f2, -f1], [g1, g2]],   beta = (f1, f2),  gamma = (g1, g2),
 
-so gamma . beta = det(eps) = zeta, a simple zero.  The position of the
-covector on P^1 is visible in the constant terms: gamma vanishes at the
-point iff xi sits at [0:1], beta vanishes iff xi sits at [1:0].
+so gamma . beta = det(eps) = zeta, a simple zero.  The point is visible in
+the constant terms: gamma vanishes at the marked point iff the point is
+[0:1], beta vanishes iff it is [1:0].
 
 smith_form reduces any 2x2 matrix with determinant exactly zeta to
 diag(1, zeta) by unit row/column operations, constructively.  All checks
@@ -37,63 +38,43 @@ ScalarMat = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 ScalarVec = tuple[Scalar, Scalar]
 
 
-# evaluation covectors
+# evaluation at a point of P^1
 
 
-@dataclass(frozen=True)
-class EvaluationCovector:
-    """Covector (xi0, xi1) on the rank-2 fiber at the marked point.
-
-    Only the spanned line matters, so the constructor normalizes the first
-    nonzero component to 1.  The components double as the homogeneous
-    coordinates [xi0 : xi1] of the corresponding fiber point.
-    """
-
-    xi0: Scalar
-    xi1: Scalar
-
-    def __post_init__(self) -> None:
-        xi0, xi1 = Scalar.of(self.xi0), Scalar.of(self.xi1)
-        if xi0.is_zero() and xi1.is_zero():
-            raise ValueError("the zero covector spans no line")
-        scale = xi0.inverse() if not xi0.is_zero() else xi1.inverse()
-        object.__setattr__(self, "xi0", scale * xi0)
-        object.__setattr__(self, "xi1", scale * xi1)
-
-    def fiber_point(self) -> FiberPoint:
-        if self.xi0.is_zero():
-            return FiberPoint.zero()
-        if self.xi1.is_zero():
-            return FiberPoint.infinity()
-        return FiberPoint.finite(self.xi0 / self.xi1)
-
-
-def evaluate(xi: EvaluationCovector, section: SeriesPair) -> Scalar:
-    """Value of the covector on a local section pair: xi0 f0(0) + xi1 f1(0)."""
-    return xi.xi0 * section[0].constant_term + xi.xi1 * section[1].constant_term
+def evaluate(point: FiberPoint, section: SeriesPair) -> Scalar:
+    """Value x0 f0(0) + x1 f1(0) of the evaluation map at [x0:x1] on a local
+    section pair, with [x0:x1] = [t:1], [0:1] or [1:0].  The homogeneous
+    coordinates fix the value only up to scale, so only its vanishing means
+    anything."""
+    f0, f1 = section[0].constant_term, section[1].constant_term
+    if point.is_zero():
+        return f1
+    if point.is_infinity():
+        return f0
+    return point.t * f0 + f1
 
 
 # kernel frames and the Higgs components
 
 
-def hecke_frame(xi: EvaluationCovector, order: int = DEFAULT_ORDER) -> Mat2:
-    """Frame of the kernel of the evaluation map at xi, with determinant zeta.
+def hecke_frame(point: FiberPoint, order: int = DEFAULT_ORDER) -> Mat2:
+    """Frame of the kernel of the evaluation map at [x0:x1], with determinant zeta.
 
-    The columns are free generators of the kernel.  For xi1 != 0 they are
-    (1, -xi0/xi1) and (0, zeta): the frame [[1, 0], [-xi0/xi1, zeta]] is
-    lower triangular with diagonal 1, zeta.  For xi1 == 0 they are (0, 1)
-    and (-zeta, 0): the frame [[0, -zeta], [1, 0]] has determinant
-    0 * 0 - (-zeta) * 1.  Either way the determinant is zeta exactly, a
-    simple zero, so the frame needs no normalization.
+    The columns are free generators of the kernel.  At [t:1] they are
+    (1, -t) and (0, zeta): the frame [[1, 0], [-t, zeta]] is lower
+    triangular with diagonal 1, zeta, and [0:1] is the case t = 0.  At
+    [1:0] they are (0, 1) and (-zeta, 0): the frame [[0, -zeta], [1, 0]]
+    has determinant 0 * 0 - (-zeta) * 1.  Either way the determinant is
+    zeta exactly, a simple zero, so the frame needs no normalization.
     """
     if order < 2:
         raise ValueError("truncation order must be >= 2 to represent zeta")
     one = TruncatedSeries.one(order)
     zero = TruncatedSeries.zero(order)
     zeta = TruncatedSeries.zeta(order)
-    if xi.xi1.is_zero():
+    if point.is_infinity():
         return Mat2(((zero, -zeta), (one, zero)))
-    slope = TruncatedSeries.constant(-(xi.xi0 / xi.xi1), order)
+    slope = zero if point.is_zero() else TruncatedSeries.constant(-point.t, order)
     return Mat2(((one, zero), (slope, zeta)))
 
 
@@ -132,10 +113,9 @@ def kernel_frame_from_higgs(h: LocalHiggs) -> Mat2:
     return Mat2(((h.beta[1], -h.beta[0]), (h.gamma[0], h.gamma[1])))
 
 
-def higgs_vanishing_matches_point(xi: EvaluationCovector, h: LocalHiggs) -> bool:
+def higgs_vanishing_matches_point(point: FiberPoint, h: LocalHiggs) -> bool:
     """The component vanishing pattern at zeta = 0 determined by the point:
     gamma(0) = 0 iff the point is [0:1], beta(0) = 0 iff it is [1:0]."""
-    point = xi.fiber_point()
     beta_vanishes = h.beta[0].constant_term.is_zero() and h.beta[1].constant_term.is_zero()
     gamma_vanishes = (
         h.gamma[0].constant_term.is_zero() and h.gamma[1].constant_term.is_zero()
@@ -270,14 +250,13 @@ def contraction_is_natural(ell: ScalarVec, wedge: Scalar, mu: ScalarMat) -> bool
 # the sigma-frame normal form
 
 
-def _normal_form_data(order: int) -> tuple[EvaluationCovector, Mat2, LocalHiggs]:
+def _normal_form_data(order: int) -> tuple[FiberPoint, Mat2, LocalHiggs]:
     inv_rt2 = TruncatedSeries.constant(Scalar.sqrt2().inverse(), order)
     zeta = TruncatedSeries.zeta(order)
     eta1 = (zeta * inv_rt2, zeta * inv_rt2)
     eta2 = (-inv_rt2, inv_rt2)
-    xi = EvaluationCovector(Scalar.one(), Scalar.one())
     eps = Mat2.from_cols(eta1, eta2)
-    return xi, eps, higgs_from_kernel_frame(eps)
+    return FiberPoint.finite(1), eps, higgs_from_kernel_frame(eps)
 
 
 def normal_form_check(order: int) -> tuple[tuple[str, bool], ...]:
@@ -294,13 +273,13 @@ def normal_form_check(order: int) -> tuple[tuple[str, bool], ...]:
     if order < 2:
         raise ValueError("truncation order must be >= 2 to represent zeta")
 
-    xi, eps, higgs = _normal_form_data(order)
+    point, eps, higgs = _normal_form_data(order)
     zeta = TruncatedSeries.zeta(order)
     inv_rt2 = TruncatedSeries.constant(Scalar.sqrt2().inverse(), order)
     return (
         (
             "kernel_membership",
-            evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero(),
+            evaluate(point, eps.col(0)).is_zero() and evaluate(point, eps.col(1)).is_zero(),
         ),
         ("determinant_is_zeta", eps.det() == zeta),
         ("beta_normal_form", higgs.beta == (inv_rt2, zeta * inv_rt2)),
@@ -351,13 +330,13 @@ def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
     return phi
 
 
-def random_covector(rng: Random) -> EvaluationCovector:
+def random_point(rng: Random) -> FiberPoint:
     shape = rng.choice(["zero", "inf", "finite"])
     if shape == "zero":
-        return EvaluationCovector(Scalar.zero(), Scalar.one())
+        return FiberPoint.zero()
     if shape == "inf":
-        return EvaluationCovector(Scalar.one(), Scalar.zero())
-    return EvaluationCovector(random_scalar(rng, nonzero=True), Scalar.one())
+        return FiberPoint.infinity()
+    return FiberPoint.finite(random_scalar(rng, nonzero=True))
 
 
 def _require(ok: bool, detail: str) -> None:
@@ -407,18 +386,18 @@ def _check_smith_rejects_bad_determinant(rng: Random, order: int, cases: int) ->
 def _check_hecke_round_trip(rng: Random, order: int, cases: int) -> str:
     zeta = TruncatedSeries.zeta(order)
     for k in range(cases):
-        xi = random_covector(rng)
-        where = f"case {k}, covector [{xi.xi0}:{xi.xi1}]"
-        eps = hecke_frame(xi, order)
+        point = random_point(rng)
+        where = f"case {k}, point {point}"
+        eps = hecke_frame(point, order)
         _require(
-            evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero(),
+            evaluate(point, eps.col(0)).is_zero() and evaluate(point, eps.col(1)).is_zero(),
             f"{where}: a frame column leaves the kernel",
         )
         _require(eps.det() == zeta, f"{where}: frame determinant != zeta")
         h = higgs_from_kernel_frame(eps)
         _require(h.gamma_beta() == zeta, f"{where}: gamma . beta != zeta")
         _require(
-            higgs_vanishing_matches_point(xi, h),
+            higgs_vanishing_matches_point(point, h),
             f"{where}: vanishing pattern does not match the point type",
         )
         _require(kernel_frame_from_higgs(h) == eps, f"{where}: frame does not round-trip")

@@ -2,11 +2,11 @@
 
 The stability/GIT dictionary, the labeled partitions behind the census
 cells, the affine charts on the stable locus, orbit equivalence, the
-invariant-monomial predicates and a few conveniences on series, matrices
-and covectors are facts of the paper that the acceptance gate and the
-unit tests check against the package.  The command line never computes
-them, so they live here and read the package only through its public
-names and accessors.
+invariant-monomial predicates, the vanishing counts read through the local
+model and a few conveniences on series and matrices are facts of the paper
+that the acceptance gate and the unit tests check against the package.
+The command line never computes them, so they live here and read the
+package only through its public names and accessors.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from su12fiber.configuration import Configuration, FiberPoint, mark_data
+from su12fiber.configuration import Configuration, mark_data
 from su12fiber.errors import LengthMismatchError, NonUnitError
 from su12fiber.exact import Mat2, Scalar, TruncatedSeries
 from su12fiber.git_engine import GitClass, Linearization, classify_closed_form
-from su12fiber.local_model import EvaluationCovector
+from su12fiber.local_model import hecke_frame, higgs_from_kernel_frame
 from su12fiber.stability import ModuliParams, StabilityClass, classify_counts
 
 
@@ -208,7 +208,7 @@ def affine_chart(
     return tuple(i1), tuple(i2), tuple(i3)
 
 
-# series, matrices and covectors (exact, local_model)
+# series and matrices (exact)
 
 
 def series_valuation(s: TruncatedSeries) -> int | None:
@@ -240,10 +240,20 @@ def matrix_inverse(m: Mat2) -> Mat2:
     return Mat2(((a * dinv, b * dinv), (c * dinv, e * dinv)))
 
 
-def covector_from_fiber_point(p: FiberPoint) -> EvaluationCovector:
-    """The covector whose homogeneous coordinates are the point's."""
-    if p.is_zero():
-        return EvaluationCovector(Scalar.zero(), Scalar.one())
-    if p.is_infinity():
-        return EvaluationCovector(Scalar.one(), Scalar.zero())
-    return EvaluationCovector(p.t, Scalar.one())
+# the dictionary through the local model (local_model)
+
+
+def vanishing_counts(c: Configuration) -> tuple[int, int]:
+    """(d_beta, d_gamma) read slot by slot through the Hecke data.
+
+    Each slot's point is the Hecke parameter there: its kernel frame gives
+    beta and gamma, and a component counts at the slot when both of its
+    constant terms vanish.  Order 2 suffices, since only constant terms
+    are read.
+    """
+    d_beta = d_gamma = 0
+    for point in c.points:
+        h = higgs_from_kernel_frame(hecke_frame(point, 2))
+        d_beta += all(s.constant_term.is_zero() for s in h.beta)
+        d_gamma += all(s.constant_term.is_zero() for s in h.gamma)
+    return d_beta, d_gamma

@@ -27,7 +27,7 @@ from su12fiber.git_engine import (
     composition_count,
     s_equivalence_representative,
 )
-from su12fiber.stability import ModuliParams, StabilityClass, census
+from su12fiber.stability import ModuliParams, StabilityClass, census, classify_counts
 
 from paper_reference import (
     classify_partition,
@@ -37,6 +37,7 @@ from paper_reference import (
     orbit_equivalent,
     saturated_slots,
     stratum_of,
+    vanishing_counts,
 )
 
 G2D0 = ModuliParams(2, 0)
@@ -90,7 +91,7 @@ def test_criterion_1_bruteforce_matches_closed_form():
         c = _config_from_pattern(pattern, rng)
         expected = classify_closed_form(c, lin_main)
         for r_max in (1, 2):
-            got = classify_bruteforce(c, lin_main, r_max)
+            got = bruteforce_search(c, lin_main, r_max).git_class
             checked += 1
             if got is not expected:
                 mismatches.append((pattern, r_max, expected, got))
@@ -101,7 +102,7 @@ def test_criterion_1_bruteforce_matches_closed_form():
             c = _config_from_pattern(pattern, rng)
             expected = classify_closed_form(c, lin)
             for r_max in (1, 2):
-                got = classify_bruteforce(c, lin, r_max)
+                got = bruteforce_search(c, lin, r_max).git_class
                 checked += 1
                 if got is not expected:
                     mismatches.append((pattern, n, r_max, expected, got))
@@ -117,22 +118,67 @@ def test_criterion_1_bruteforce_matches_closed_form():
     )
 
 
+def _dictionary_failures(p: ModuliParams, c: Configuration) -> list:
+    """Each side of the stability/GIT dictionary against the closed form: the
+    labels of stratum_of, the vanishing counts read through the local model,
+    and the invariant-monomial search."""
+    lin = Linearization.for_moduli(p)
+    git = classify_closed_form(c, lin)
+    failures = []
+    partition_class = classify_partition(p, stratum_of(c))
+    if git_class_of_stability(partition_class) is not git:
+        failures.append(("dictionary", c, partition_class, git))
+    local_class = classify_counts(p, *vanishing_counts(c))
+    if git_class_of_stability(local_class) is not git:
+        failures.append(("local model", c, local_class, git))
+    searched = bruteforce_search(c, lin).git_class
+    if searched is not git:
+        failures.append(("search", c, searched, git))
+    return failures
+
+
+def _genus_100_boundary_configurations(rng: Random):
+    """At each degree, mark counts at and next to both bounds, slots shuffled.
+
+    The degrees sit near the Milnor-Wood ends, where the stable witness's
+    rank is cheap, and on both sides of 0, where gamma_bound != beta_bound.
+    """
+    for d in (-97, -90, 97):
+        p = ModuliParams(100, d)
+        n, m = p.gamma_bound, p.beta_bound
+        for n_zero, n_inf in (
+            (n - 1, m - 1), (n - 1, 0), (0, m - 1),  # stable
+            (n, m - 1), (n - 1, m), (n, m),  # strictly semistable
+            (n + 1, 0), (0, m + 1),  # unstable
+        ):
+            points = [FiberPoint.zero()] * n_zero + [FiberPoint.infinity()] * n_inf
+            points += [
+                FiberPoint.finite(_random_nonzero_scalar(rng))
+                for _ in range(p.N - n_zero - n_inf)
+            ]
+            rng.shuffle(points)
+            yield p, Configuration.of("L0", points)
+
+
 def test_criterion_2_stability_git_dictionary():
     rng = Random(202)
-    lin = Linearization.for_moduli(G2D0)
     patterns = list(_all_patterns(4))
     failures = []
     for _ in range(1000):
-        c = _config_from_pattern(rng.choice(patterns), rng)
-        git = classify_closed_form(c, lin)
-        partition_class = classify_partition(G2D0, stratum_of(c))
-        if git_class_of_stability(partition_class) is not git:
-            failures.append(("dictionary", c, partition_class, git))
+        failures += _dictionary_failures(G2D0, _config_from_pattern(rng.choice(patterns), rng))
+    classes = set()
+    for p, c in _genus_100_boundary_configurations(Random(2020)):
+        failures += _dictionary_failures(p, c)
+        classes.add(classify_closed_form(c, Linearization.for_moduli(p)))
+    ok = not failures and classes == set(GitClass)
     _report(
         2,
         "stability-GIT dictionary",
-        not failures,
-        "1000 random configurations" if not failures else f"failures={failures[:3]}",
+        ok,
+        "1000 random configurations and 24 genus-100 ones, read through the labels, "
+        "the local model and the search"
+        if ok
+        else f"failures={failures[:3]} classes={sorted(c.name for c in classes)}",
     )
 
 

@@ -192,7 +192,7 @@ def test_bruteforce_agrees_exhaustively_n4():
     for c in patterns_n4(rng):
         for n in range(5):
             lin = Linearization(n, 4)
-            assert classify_bruteforce(c, lin, r_max=1) is classify_closed_form(c, lin)
+            assert bruteforce_search(c, lin, r_max=1).git_class is classify_closed_form(c, lin)
 
 
 def test_bruteforce_agrees_rmax2_spot():
@@ -207,7 +207,7 @@ def test_bruteforce_agrees_rmax2_spot():
     for c in configs:
         for n in (0, 2, 3):
             lin = Linearization(n, 4)
-            assert classify_bruteforce(c, lin, r_max=2) is classify_closed_form(c, lin)
+            assert bruteforce_search(c, lin, r_max=2).git_class is classify_closed_form(c, lin)
 
 
 def test_bruteforce_n6_all_classes():
@@ -219,7 +219,7 @@ def test_bruteforce_n6_all_classes():
         ]
         c = cfg(*points)
         for r_max in (1, 2):
-            assert classify_bruteforce(c, lin, r_max=r_max) is classify_closed_form(c, lin)
+            assert bruteforce_search(c, lin, r_max=r_max).git_class is classify_closed_form(c, lin)
 
 
 def test_bruteforce_n8_spot():
@@ -232,7 +232,7 @@ def test_bruteforce_n8_spot():
             Z if k == "z" else I if k == "i" else F(rng.randint(1, 30)) for k in kinds
         ]
         c = cfg(*points)
-        assert classify_bruteforce(c, lin, r_max=1) is classify_closed_form(c, lin)
+        assert bruteforce_search(c, lin, r_max=1).git_class is classify_closed_form(c, lin)
 
 
 def pattern_config(kinds):
@@ -325,4 +325,4 @@ def test_bruteforce_agreement_property(n, data):
     ]
     c = cfg(*points)
     lin = Linearization(n, 4)
-    assert classify_bruteforce(c, lin, r_max=2) is classify_closed_form(c, lin)
+    assert bruteforce_search(c, lin, r_max=2).git_class is classify_closed_form(c, lin)

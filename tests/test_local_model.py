@@ -12,7 +12,6 @@ from su12fiber.errors import HeckeDatumError, SmithPreconditionError
 from su12fiber.exact import DEFAULT_ORDER, Mat2, Scalar, TruncatedSeries
 from su12fiber import local_model
 from su12fiber.local_model import (
-    EvaluationCovector,
     contraction_is_natural,
     dual_wedge_contraction,
     evaluate,
@@ -20,13 +19,13 @@ from su12fiber.local_model import (
     higgs_from_kernel_frame,
     higgs_vanishing_matches_point,
     normal_form_check,
-    random_covector,
+    random_point,
     random_det_zeta_matrix,
     smith_form,
     verification_suite,
 )
 
-from paper_reference import covector_from_fiber_point, matrix_inverse
+from paper_reference import matrix_inverse
 
 T = DEFAULT_ORDER
 ONE = TruncatedSeries.one(T)
@@ -37,28 +36,6 @@ TARGET = Mat2.diag(ONE, ZETA)
 
 def sc(x) -> Scalar:
     return Scalar.of(x)
-
-
-# covectors
-
-
-def test_covector_normalizes_first_nonzero_component():
-    xi = EvaluationCovector(sc(3), sc(6))
-    assert xi.xi0 == Scalar.one() and xi.xi1 == sc(2)
-    xi = EvaluationCovector(sc(0), sc(-5))
-    assert xi.xi0 == Scalar.zero() and xi.xi1 == Scalar.one()
-
-
-def test_zero_covector_rejected():
-    with pytest.raises(ValueError):
-        EvaluationCovector(sc(0), sc(0))
-
-
-def test_covector_fiber_point_round_trip():
-    for p in (FiberPoint.zero(), FiberPoint.infinity(), FiberPoint.finite(sc(7))):
-        assert covector_from_fiber_point(p).fiber_point() == p
-    # scaling the homogeneous coordinates changes nothing
-    assert EvaluationCovector(sc(14), sc(2)).fiber_point() == FiberPoint.finite(sc(7))
 
 
 # kernel frames
@@ -81,33 +58,33 @@ def test_hecke_frame_pins_exact_frames():
     t = Scalar.from_ratios(3, 5, -2, 7)  # the finite point 3/5 - 2/7*sqrt2
     for order in FRAME_ORDERS:
         cases = [
-            ((sc(1), sc(1)), _frame(order, ([1], []), ([-1], [0, 1]))),
-            ((sc(0), sc(1)), _frame(order, ([1], []), ([], [0, 1]))),
-            ((sc(1), sc(0)), _frame(order, ([], [0, -1]), ([1], []))),
-            ((t, sc(1)), _frame(order, ([1], []), ([-t], [0, 1]))),
+            (FiberPoint.finite(1), _frame(order, ([1], []), ([-1], [0, 1]))),
+            (FiberPoint.zero(), _frame(order, ([1], []), ([], [0, 1]))),
+            (FiberPoint.infinity(), _frame(order, ([], [0, -1]), ([1], []))),
+            (FiberPoint.finite(t), _frame(order, ([1], []), ([-t], [0, 1]))),
         ]
-        for (xi0, xi1), expected in cases:
-            assert hecke_frame(EvaluationCovector(xi0, xi1), order) == expected, (order, xi0)
+        for point, expected in cases:
+            assert hecke_frame(point, order) == expected, (order, str(point))
 
 
 def test_frame_columns_evaluate_to_zero():
     rng = Random(11)
     for _ in range(40):
-        xi = random_covector(rng)
-        eps = hecke_frame(xi, T)
-        assert evaluate(xi, eps.col(0)).is_zero() and evaluate(xi, eps.col(1)).is_zero()
+        point = random_point(rng)
+        eps = hecke_frame(point, T)
+        assert evaluate(point, eps.col(0)).is_zero() and evaluate(point, eps.col(1)).is_zero()
 
 
 def test_frame_determinant_is_exactly_zeta():
     rng = Random(12)
     for order in FRAME_ORDERS:
         for _ in range(4):
-            assert hecke_frame(random_covector(rng), order).det() == TruncatedSeries.zeta(order)
+            assert hecke_frame(random_point(rng), order).det() == TruncatedSeries.zeta(order)
 
 
 def test_frame_rejects_order_one():
     with pytest.raises(ValueError):
-        hecke_frame(EvaluationCovector(sc(1), sc(1)), 1)
+        hecke_frame(FiberPoint.finite(1), 1)
 
 
 def test_frame_rejects_unit_determinant():
@@ -137,17 +114,17 @@ def test_higgs_requires_det_zeta_frame():
 
 def test_vanishing_pattern_per_point_type():
     cases = [
-        (EvaluationCovector(sc(0), sc(1)), "gamma"),
-        (EvaluationCovector(sc(1), sc(0)), "beta"),
-        (EvaluationCovector(sc(5), sc(1)), "neither"),
+        (FiberPoint.zero(), "gamma"),
+        (FiberPoint.infinity(), "beta"),
+        (FiberPoint.finite(5), "neither"),
     ]
-    for xi, which in cases:
-        h = higgs_from_kernel_frame(hecke_frame(xi, T))
+    for point, which in cases:
+        h = higgs_from_kernel_frame(hecke_frame(point, T))
         beta0 = (h.beta[0].constant_term, h.beta[1].constant_term)
         gamma0 = (h.gamma[0].constant_term, h.gamma[1].constant_term)
         beta_vanishes = all(c.is_zero() for c in beta0)
         gamma_vanishes = all(c.is_zero() for c in gamma0)
-        assert higgs_vanishing_matches_point(xi, h)
+        assert higgs_vanishing_matches_point(point, h)
         if which == "gamma":
             assert gamma_vanishes and not beta_vanishes
         elif which == "beta":
@@ -410,17 +387,25 @@ def _accepts_any_determinant(smith):
     return faulty
 
 
-def _frame_of_swapped_covector(frame):
-    return lambda xi, order=T: frame(EvaluationCovector(xi.xi1, xi.xi0), order)
+def _frame_of_swapped_point(frame):
+    # [x0:x1] -> [x1:x0]: zero and infinity trade places and t becomes 1/t
+    def swapped(point):
+        if point.is_zero():
+            return FiberPoint.infinity()
+        if point.is_infinity():
+            return FiberPoint.zero()
+        return FiberPoint.finite(point.t.inverse())
+
+    return lambda point, order=T: frame(swapped(point), order)
 
 
 def _frame_off_by_a_unit(data):
     # det stays zeta, so only the normal-form comparisons can notice
     def faulty(order):
-        xi, eps, _ = data(order)
+        point, eps, _ = data(order)
         u = TruncatedSeries.one(order) + TruncatedSeries.zeta(order)
         eps = eps.scale_col(0, u).scale_col(1, u.inverse())
-        return xi, eps, higgs_from_kernel_frame(eps)
+        return point, eps, higgs_from_kernel_frame(eps)
 
     return faulty
 
@@ -433,7 +418,7 @@ PLANTED_FAULTS = {
     "smith_randomized": ("smith_form", _q_without_top_coefficient),
     "smith_worked_examples": ("smith_form", _negated_transforms),
     "smith_rejects_bad_determinant": ("smith_form", _accepts_any_determinant),
-    "hecke_round_trip": ("hecke_frame", _frame_of_swapped_covector),
+    "hecke_round_trip": ("hecke_frame", _frame_of_swapped_point),
     "normal_form": ("_normal_form_data", _frame_off_by_a_unit),
     "contraction_naturality": ("dual_wedge_contraction", _contraction_ignoring_wedge),
 }

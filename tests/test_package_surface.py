@@ -27,7 +27,7 @@ PINNED_IMPORTS = {
         "configuration": "Configuration FiberPoint",
         "exact": "Scalar",
         "git_engine": "Linearization classify_bruteforce classify_closed_form",
-        "local_model": "EvaluationCovector hecke_frame higgs_from_kernel_frame smith_form",
+        "local_model": "hecke_frame higgs_from_kernel_frame smith_form",
         "stability": "ModuliParams census",
     },
     "__main__": {"cli": "entry"},
@@ -35,6 +35,7 @@ PINNED_IMPORTS = {
         "": "local_model",
         "configuration": "Configuration config_from_json config_to_json",
         "errors": "InvalidGenusError LengthMismatchError",
+        "exact": "DEFAULT_ORDER",
         "git_engine": "GitClass Linearization bruteforce_search classify_closed_form "
         "s_equivalence_representative",
         "stability": "CensusRun ModuliParams StabilityClass census_runs "
