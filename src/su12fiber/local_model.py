@@ -304,30 +304,28 @@ def random_series(rng: Random, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs([random_scalar(rng) for _ in range(order)], order)
 
 
-def random_unit_matrix(rng: Random, order: int) -> Mat2:
-    while True:
-        m = Mat2(
-            (
-                (random_series(rng, order), random_series(rng, order)),
-                (random_series(rng, order), random_series(rng, order)),
-            )
-        )
-        if m.is_unit():
-            return m
+def random_sl2_matrix(rng: Random, order: int) -> Mat2:
+    """Random matrix with determinant exactly 1: the shear product
+    L(x) W L(z) U(y) = [[-z, -(zy + 1)], [1 - xz, (1 - xz)y - x]] for drawn
+    series x, z, y, with L(x) = [[1, 0], [x, 1]], U(y) = [[1, y], [0, 1]]
+    and W = [[0, -1], [1, 0]].  The top-left -z has constant term 0 as
+    often as random_scalar draws 0, about 1 in 36, which keeps smith_form's
+    row and column shears in the suite's draws; the top-left 1 + yz of
+    L(x) U(y) L(z) would vanish at zeta = 0 far more rarely.
+    """
+    x, z, y = (random_series(rng, order) for _ in range(3))
+    one = TruncatedSeries.one(order)
+    w = one - x * z
+    return Mat2(((-z, -(z * y + one)), (w, w * y - x)))
 
 
 def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
-    """Random matrix with determinant exactly zeta, via unit-sandwiched diag(1, zeta)."""
-    a = random_unit_matrix(rng, order)
-    b = random_unit_matrix(rng, order)
-    zeta = TruncatedSeries.zeta(order)
-    unit = (a.det() * b.det()).inverse()
-    # a @ diag(1, zeta) @ b @ diag(1, unit): the large inverse enters two
-    # products, not the six of scaling b before the product
-    phi = (a.scale_col(1, zeta) @ b).scale_col(1, unit)
-    if phi.det() != zeta:
-        raise InternalInconsistencyError("random determinant normalization failed")
-    return phi
+    """Random matrix with determinant exactly zeta: S1 diag(1, zeta) S2 with
+    S1, S2 drawn by random_sl2_matrix, the Smith form read backwards.  The
+    determinant is 1 * zeta * 1 by construction, so nothing is normalized."""
+    s1 = random_sl2_matrix(rng, order)
+    s2 = random_sl2_matrix(rng, order)
+    return s1.scale_col(1, TruncatedSeries.zeta(order)) @ s2
 
 
 def random_point(rng: Random) -> FiberPoint:

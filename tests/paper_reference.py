@@ -3,8 +3,9 @@
 The stability/GIT dictionary, the labeled partitions behind the census
 cells, the affine charts on the stable locus, orbit equivalence, the
 invariant-monomial predicates, the vanishing counts read through the local
-model and a few conveniences on series and matrices are facts of the paper
-that the acceptance gate and the unit tests check against the package.
+model, the torus action on the Hecke frames and a few conveniences on
+series and matrices are facts of the paper that the acceptance gate and
+the unit tests check against the package.
 The command line never computes them, so they live here and read the
 package only through its public names and accessors.
 """
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from su12fiber.configuration import Configuration, mark_data
+from su12fiber.configuration import Configuration, FiberPoint, act, mark_data
 from su12fiber.errors import LengthMismatchError, NonUnitError
-from su12fiber.exact import Mat2, Scalar, TruncatedSeries
+from su12fiber.exact import Mat2, Scalar, ScalarLike, TruncatedSeries
 from su12fiber.git_engine import GitClass, Linearization, classify_closed_form
 from su12fiber.local_model import hecke_frame, higgs_from_kernel_frame
 from su12fiber.stability import ModuliParams, StabilityClass, classify_counts
@@ -257,3 +258,33 @@ def vanishing_counts(c: Configuration) -> tuple[int, int]:
         d_beta += all(s.constant_term.is_zero() for s in h.beta)
         d_gamma += all(s.constant_term.is_zero() for s in h.gamma)
     return d_beta, d_gamma
+
+
+# the torus action through the local model (configuration, local_model)
+
+
+def is_zeta_times_unit(m: Mat2) -> bool:
+    """Whether m = zeta * U with U invertible: every constant term of m
+    vanishes and the zeta^1 coefficients form an invertible matrix."""
+    if any(not e.constant_term.is_zero() for row in m.entries for e in row):
+        return False
+    return Mat2(tuple(tuple(e.div_zeta() for e in row) for row in m.entries)).is_unit()
+
+
+def torus_acts_as_gauge(point: FiberPoint, scale: ScalarLike, order: int) -> bool:
+    """Whether the torus acts on one slot's Hecke data as the gauge D = diag(1, scale).
+
+    Let F = hecke_frame(point) and F' the frame at the point that
+    act(scale, .) makes of it.  D carries the kernel at the point onto the
+    kernel at the moved point, so adj(F') D F D^-1 is zeta times a unit,
+    as F' adj(F') is zeta.  At [t:1] the gauge is exact: D F D^-1 = F'.
+    """
+    one = TruncatedSeries.one(order)
+    s = Scalar.of(scale)
+    d = Mat2.diag(one, TruncatedSeries.constant(s, order))
+    d_inv = Mat2.diag(one, TruncatedSeries.constant(s.inverse(), order))
+    gauged = d @ hecke_frame(point, order) @ d_inv
+    moved = hecke_frame(act(s, Configuration.of("L0", [point])).points[0], order)
+    if point.is_finite() and gauged != moved:
+        return False
+    return is_zeta_times_unit(moved.adjugate() @ gauged)

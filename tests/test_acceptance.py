@@ -37,6 +37,7 @@ from paper_reference import (
     orbit_equivalent,
     saturated_slots,
     stratum_of,
+    torus_acts_as_gauge,
     vanishing_counts,
 )
 
@@ -280,6 +281,7 @@ def test_criterion_8_scaling_invariance():
             classify_closed_form(x, lin),
             stratum_of(x),
             (mark_data(x).n_zero, mark_data(x).n_inf),
+            vanishing_counts(x),
         )
         for _ in range(100):
             y = act(_random_nonzero_scalar(rng), x)
@@ -287,6 +289,7 @@ def test_criterion_8_scaling_invariance():
                 classify_closed_form(y, lin),
                 stratum_of(y),
                 (mark_data(y).n_zero, mark_data(y).n_inf),
+                vanishing_counts(y),
             )
             if scaled != base:
                 failures.append((pattern, base, scaled))
@@ -294,11 +297,21 @@ def test_criterion_8_scaling_invariance():
         # the brute-force route must be scale-invariant too
         if classify_bruteforce(act(_random_nonzero_scalar(rng), x), lin) is not base[0]:
             failures.append((pattern, "brute-force drifted under scaling"))
+    # the torus acts on each slot's Hecke frame as the gauge diag(1, scale)
+    gauge_rng = Random(818)
+    for order in (2, 8, 16):
+        for _ in range(10):
+            t = local_model.random_scalar(gauge_rng, nonzero=True)
+            for point in (FiberPoint.zero(), FiberPoint.infinity(), FiberPoint.finite(t)):
+                scale = local_model.random_scalar(gauge_rng, nonzero=True)
+                if not torus_acts_as_gauge(point, scale, order):
+                    failures.append((order, str(point), str(scale), "not the gauge"))
     _report(
         8,
         "scaling invariance of all classifiers",
         not failures,
-        "81 patterns x 100 random scalings, plus brute-force spot checks"
+        "81 patterns x 100 random scalings, plus brute-force spot checks; "
+        "90 Hecke frames moved by the gauge diag(1, scale)"
         if not failures
         else f"failures={failures[:3]}",
     )

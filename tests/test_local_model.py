@@ -208,6 +208,14 @@ def test_smith_single_unit_entry_gives_determinant_one(pivot, order):
         assert p.det() == one and q.det() == one
 
 
+@pytest.mark.parametrize("order", FRAME_ORDERS)
+def test_random_draws_have_determinant_exactly_one_and_zeta(order):
+    rng = Random(f"draws:{order}")
+    for _ in range(6):
+        assert local_model.random_sl2_matrix(rng, order).det() == TruncatedSeries.one(order)
+        assert random_det_zeta_matrix(rng, order).det() == TruncatedSeries.zeta(order)
+
+
 @pytest.mark.parametrize("order", [*range(2, 13), 16, 32])
 def test_smith_randomized_all_orders(order):
     local_model._check_smith_randomized(Random(1000 + order), order, 12)
@@ -433,6 +441,20 @@ def test_verification_suite_catches_each_planted_fault(check, monkeypatch):
     assert [c["name"] for c in failed] == [check]
     assert failed[0]["detail"]
     assert report["all_passed"] is False
+
+
+def test_verification_suite_reports_a_draw_without_zeta(monkeypatch):
+    # S1 @ S2 without the zeta column scale has determinant 1: smith_form's
+    # precondition check is the only one that sees the draws' determinant
+    def det_one(rng, order):
+        s1 = local_model.random_sl2_matrix(rng, order)
+        return s1 @ local_model.random_sl2_matrix(rng, order)
+
+    monkeypatch.setattr(local_model, "random_det_zeta_matrix", det_one)
+    report = verification_suite(order=4, seed=0, cases=3)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["smith_randomized"]
+    assert failed[0]["detail"].startswith("SmithPreconditionError: ")
 
 
 def _basis_image_doubled(contraction):
