@@ -23,10 +23,15 @@ term is nonzero.
 Values are immutable and in lowest terms, so an operation whose result is
 one of its operands may return that operand: a sum with the zero series,
 and a product with the constant 1 or -1, return the other operand or its
-negation without arithmetic.  Mat2 is frozen as well, and det() computes
-a*d - b*c once per matrix and keeps it on the instance, outside the
-dataclass fields, so equality, hashing, repr and dataclasses.replace
-never see it.
+negation without arithmetic, and a product with the zero series returns
+the zero series.  A product with zeta^k or -zeta^k for k >= 1 shifts the
+other operand's numerators up by k, negated for -zeta^k, without a
+convolution; it still divides out their gcd, since the coefficients that
+truncation drops may be the ones that kept them in lowest terms.
+
+Mat2 is frozen as well, and det() computes a*d - b*c once per matrix and
+keeps it on the instance, outside the dataclass fields, so equality,
+hashing, repr and dataclasses.replace never see it.
 """
 
 from __future__ import annotations
@@ -126,6 +131,8 @@ class Scalar:
     def of(x: ScalarLike) -> "Scalar":
         if isinstance(x, Scalar):
             return x
+        if x.__class__ is int:  # not a bool, which takes the Fraction route
+            return _scalar(x, 0, 1)
         return Scalar(_as_fraction(x))
 
     @staticmethod
@@ -392,6 +399,8 @@ class TruncatedSeries:
         )
 
     def __add__(self, other) -> "TruncatedSeries":
+        if other.__class__ is TruncatedSeries and len(other._a) == len(self._a):
+            return self._plus(other, 1)
         return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
@@ -400,22 +409,41 @@ class TruncatedSeries:
         return _series([-x for x in self._a], [-y for y in self._b], self._d)
 
     def __sub__(self, other) -> "TruncatedSeries":
+        if other.__class__ is TruncatedSeries and len(other._a) == len(self._a):
+            return self._plus(other, -1)
         return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other) -> "TruncatedSeries":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "TruncatedSeries":
-        s, o = self, self._coerce(other)
+        s = self
+        if other.__class__ is TruncatedSeries and len(other._a) == len(s._a):
+            o = other
+        else:
+            o = s._coerce(other)
         # the loop skips zeros of its outer operand: make that the sparser one
         zeros, zo = s._a.count(0) + s._b.count(0), o._a.count(0) + o._b.count(0)
         if zo > zeros:
             s, o, zeros = o, s, zo
         u, v = o._a, o._b
         T = len(u)
-        # the constants 1 and -1: a single numerator +-1 at index 0, d == 1
-        if zeros == 2 * T - 1 and s._d == 1 and s._a[0] in (1, -1):
-            return o if s._a[0] == 1 else -o
+        if zeros == 2 * T:
+            return s
+        # the monomials +-zeta^k: a single numerator +-1 at index k, d == 1.
+        # The product shifts the numerators of o up by k, and truncation can
+        # drop the coefficient that kept them in lowest terms: renormalize
+        if zeros == 2 * T - 1 and s._d == 1:
+            a = s._a
+            sign = 1 if 1 in a else -1 if -1 in a else 0
+            if sign:
+                k = a.index(sign)
+                if not k:
+                    return o if sign == 1 else -o
+                pad, n = [0] * k, T - k
+                return _series(
+                    pad + [sign * p for p in u[:n]], pad + [sign * q for q in v[:n]], o._d
+                )
         A = [0] * T
         B = [0] * T
         # schoolbook convolution truncated at T, with s^2 = 2:

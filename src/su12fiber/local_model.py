@@ -322,10 +322,24 @@ def random_sl2_matrix(rng: Random, order: int) -> Mat2:
 def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
     """Random matrix with determinant exactly zeta: S1 diag(1, zeta) S2 with
     S1, S2 drawn by random_sl2_matrix, the Smith form read backwards.  The
-    determinant is 1 * zeta * 1 by construction, so nothing is normalized."""
-    s1 = random_sl2_matrix(rng, order)
-    s2 = random_sl2_matrix(rng, order)
-    return s1.scale_col(1, TruncatedSeries.zeta(order)) @ s2
+    determinant is 1 * zeta * 1 by construction, so nothing is normalized.
+
+    S1 = L(x) W L(z) U(y) is never formed.  Its series x, z, y are drawn
+    first, as random_sl2_matrix would draw them, then S2.  Starting from
+    diag(1, zeta) S2, which is S2 with row 1 times zeta, the factors of S1
+    apply as row operations from the right end: row 0 += y row 1, then
+    row 1 += z row 0, then (row 0, row 1) -> (-row 1, row 0), then
+    row 1 += x row 0.  That is six dense series products instead of the
+    three of S1 and the eight of a matrix product.
+    """
+    x, z, y = (random_series(rng, order) for _ in range(3))
+    (a, b), (c, d) = random_sl2_matrix(rng, order).entries
+    zeta = TruncatedSeries.zeta(order)
+    c, d = c * zeta, d * zeta
+    a, b = a + y * c, b + y * d
+    c, d = c + z * a, d + z * b
+    a, b, c, d = -c, -d, a, b
+    return Mat2(((a, b), (c + x * a, d + x * b)))
 
 
 def random_point(rng: Random) -> FiberPoint:

@@ -1,14 +1,19 @@
-"""Test-only reference: the self-check suite's draws as they were written
-with Fraction, before they passed integer numerators to Scalar.from_ratios.
+"""Test-only reference: the self-check suite's draws in their earlier forms.
 
-local_model.random_scalar and local_model.random_series must give the same
-values from the same rng calls; test_local_model.py compares them.
+random_scalar and random_series are written with Fraction, as they were
+before they passed integer numerators to Scalar.from_ratios.
+random_det_zeta_matrix forms S1 and S2 and multiplies S1 diag(1, zeta) by
+S2 as matrices, as it was before it applied S1 as row operations.
+
+The local_model functions of the same names must give the same values from
+the same rng calls; test_local_model.py compares them.
 """
 
 from fractions import Fraction
 from random import Random
 
-from su12fiber.exact import Scalar, TruncatedSeries
+from su12fiber.exact import Mat2, Scalar, TruncatedSeries
+from su12fiber.local_model import random_sl2_matrix
 
 
 def random_scalar(rng: Random, *, nonzero: bool = False) -> Scalar:
@@ -22,3 +27,9 @@ def random_scalar(rng: Random, *, nonzero: bool = False) -> Scalar:
 
 def random_series(rng: Random, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs([random_scalar(rng) for _ in range(order)], order)
+
+
+def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
+    s1 = random_sl2_matrix(rng, order)
+    s2 = random_sl2_matrix(rng, order)
+    return s1.scale_col(1, TruncatedSeries.zeta(order)) @ s2

@@ -9,6 +9,7 @@ Agreement is exact: component values, strings, and hashes.
 
 from fractions import Fraction
 from math import gcd
+import sys
 from random import Random
 
 import pytest
@@ -113,6 +114,33 @@ def test_scalar_ops_match_reference(x, y):
     assert_same_scalar(exact.Scalar.parse(str(xn)), ref.Scalar.parse(str(xo)))
 
 
+def _big_ints():
+    # 1 to 5,000 digits, both signs; the top digit is nonzero
+    return st.builds(
+        lambda n, head, rest, sign: sign * (head * 10 ** (n - 1) + rest % 10 ** (n - 1)),
+        st.integers(1, 5000), st.integers(1, 9), st.integers(0, 2**16600), st.sampled_from((1, -1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_big_ints(), _big_ints())
+def test_scalar_of_an_int_matches_the_fraction_route(n, m):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # str of a 5,000-digit int
+    try:
+        for new, old in (
+            (exact.Scalar.of(n), exact.Scalar(Fraction(n))),
+            (exact.Scalar(n, m), exact.Scalar(Fraction(n), Fraction(m))),
+        ):
+            assert _triple(new) == _triple(old)
+            assert hash(new) == hash(old)
+            assert str(new) == str(old) and repr(new) == repr(old)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exact.Scalar.of(True) == exact.Scalar.one()
+    assert _triple(exact.Scalar.of(True)) == (1, 0, 1)
+
+
 @given(scalar_pairs())
 def test_scalar_components_are_read_only(x):
     new, _ = x
@@ -157,14 +185,25 @@ def test_scalar_with_series_matches_reference(data, order):
 
 
 # the kernel returns an operand unchanged, or negated, for a zero summand
-# and for a factor 1 or -1; the neighbouring kinds must take the full path
-IDENTITY_KINDS = ("0", "1", "-1", "1/2", "sqrt2", "monomial", "dense")
+# and for a factor 0, 1 or -1, and shifts the other operand for a factor
+# zeta^k or -zeta^k; the neighbouring kinds must take the full path
+IDENTITY_KINDS = (
+    "0", "1", "-1", "1/2", "sqrt2",
+    "zeta^k", "-zeta^k", "2*zeta^k", "sqrt2*zeta^k", "monomial", "dense",
+)
 _CONSTANT_PARTS = {
     "0": (Fraction(0), Fraction(0)),
     "1": (Fraction(1), Fraction(0)),
     "-1": (Fraction(-1), Fraction(0)),
     "1/2": (Fraction(1, 2), Fraction(0)),
     "sqrt2": (Fraction(0), Fraction(1)),
+}
+# the coefficient of zeta^k, for k drawn over every index of the order
+_MONOMIAL_PARTS = {
+    "zeta^k": (Fraction(1), Fraction(0)),
+    "-zeta^k": (Fraction(-1), Fraction(0)),
+    "2*zeta^k": (Fraction(2), Fraction(0)),
+    "sqrt2*zeta^k": (Fraction(0), Fraction(1)),
 }
 nonzero_components = components.map(lambda f: f or Fraction(1, 3))
 
@@ -177,6 +216,9 @@ def identity_operands(draw, kind, order):
         parts[draw(st.integers(0, order - 1))] = (
             draw(nonzero_components), draw(components),
         )
+    elif kind in _MONOMIAL_PARTS:
+        parts = [zero] * order
+        parts[draw(st.integers(0, order - 1))] = _MONOMIAL_PARTS[kind]
     elif kind == "dense":
         parts = draw(
             st.lists(st.tuples(nonzero_components, components), min_size=order, max_size=order)
@@ -212,6 +254,31 @@ def test_identity_operands_match_reference(kind, data, order):
         ):
             assert_same_series(new, old)
             assert_lowest_terms(new)
+
+
+def test_zeta_times_a_series_renormalizes_what_truncation_drops():
+    # at T = 2, zeta * (1 + zeta/2) is zeta: the 1/2 that kept (0, 2)/2 in
+    # lowest terms falls off the top, and the shift must reduce to (0, 1)/1
+    zeta = exact.TruncatedSeries.zeta(2)
+    x = exact.TruncatedSeries.from_coeffs([1, Fraction(1, 2)], 2)
+    for product in (zeta * x, x * zeta):
+        assert product == zeta
+        assert _triple(product) == ((0, 1), (0, 0), 1)
+    assert _triple(-zeta * x) == ((0, -1), (0, 0), 1)
+
+
+def test_monomial_products_at_every_index():
+    # every k at every order 1..32, against an operand whose top coefficient
+    # alone carries a denominator, so that every shift by k >= 1 renormalizes
+    for order in range(1, 33):
+        parts = [(Fraction(j + 1), Fraction(-j)) for j in range(order - 1)]
+        xn, xo = _series_pair(parts + [(Fraction(1, 6), Fraction(1, 10))], order)
+        for k in range(order):
+            for value in (_MONOMIAL_PARTS["zeta^k"], _MONOMIAL_PARTS["-zeta^k"]):
+                mn, mo = _series_pair([(0, 0)] * k + [value] + [(0, 0)] * (order - 1 - k), order)
+                for new, old in ((mn * xn, mo * xo), (xn * mn, xo * mo)):
+                    assert [(c.a, c.b) for c in new.coeffs] == [(c.a, c.b) for c in old.coeffs]
+                    assert_lowest_terms(new)
 
 
 def test_scalar_operators_defer_on_foreign_operands():

@@ -288,6 +288,18 @@ def test_draws_match_the_fraction_reference(seed, order):
     assert new.getstate() == old.getstate()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64), st.integers(min_value=2, max_value=32))
+def test_det_zeta_draw_matches_the_dense_reference(seed, order):
+    new, old = Random(seed), Random(seed)
+    drawn = random_det_zeta_matrix(new, order)
+    dense = draw_reference.random_det_zeta_matrix(old, order)
+    for row, ref_row in zip(drawn.entries, dense.entries):
+        for e, r in zip(row, ref_row):
+            assert (e._a, e._b, e._d) == (r._a, r._b, r._d)
+    assert new.getstate() == old.getstate()
+
+
 # contraction
 
 
