@@ -27,7 +27,19 @@ negation without arithmetic, and a product with the zero series returns
 the zero series.  A product with zeta^k or -zeta^k for k >= 1 shifts the
 other operand's numerators up by k, negated for -zeta^k, without a
 convolution; it still divides out their gcd, since the coefficients that
-truncation drops may be the ones that kept them in lowest terms.
+truncation drops may be the ones that kept them in lowest terms.  The
+zero, one and zeta series of an order are built once and shared.
+
+Any other product takes one of two paths, chosen from the operands.  The
+schoolbook convolution loops over the nonzero coefficients of the sparser
+operand.  When the order is at least KRONECKER_ORDER (12) and at most half
+the numerators of either operand are zero, Kronecker substitution packs
+each numerator vector into one int of W-bit fields and convolves by three
+big-int products; it is exact because W - 1 >= bitlen(max |numerator of
+s|) + bitlen(max |numerator of o|) + bitlen(3T) for the operands s and o.
+Per dense product of the local-model suite, the packed product is about
+1.2x faster at order 12, 1.5x at 16 and 1.8x to 2x at 32; at orders 8
+to 10 the two are within 5 % of each other.
 
 Mat2 is frozen as well, and det() computes a*d - b*c once per matrix and
 keeps it on the instance, outside the dataclass fields, so equality,
@@ -39,7 +51,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import NonUnitError, OrderMismatchError
@@ -278,6 +291,57 @@ def _series(a: Sequence[int], b: Sequence[int], d: int) -> "TruncatedSeries":
     return s
 
 
+# a product of two dense series (at most half the numerators of either
+# zero) goes through _kronecker_product from this order on; below it the
+# schoolbook loop is as fast, per dense product of the self-check suite
+KRONECKER_ORDER = 12
+
+
+def _pack(c: Sequence[int], W: int) -> int:
+    """The int sum of c[k] * 2^(W*k): c(X) at X = 2^W, signs and all."""
+    x = 0
+    for t in reversed(c):
+        x = (x << W) + t
+    return x
+
+
+def _kronecker_product(s: "TruncatedSeries", o: "TruncatedSeries") -> "TruncatedSeries":
+    """s * o by Kronecker substitution, in three big-int products.
+
+    Packed ints multiply as their vectors convolve.  For s = (a + b*sqrt2)/d
+    and o = (u + v*sqrt2)/e the product is (A + B*sqrt2)/(d*e) with
+    A = au + 2bv and B = (a + b)(u + v) - au - bv, of which the low T
+    coefficients are kept.
+    """
+    a, b, u, v = s._a, s._b, o._a, o._b
+    T = len(a)
+    # each A_k and B_k sums at most T terms, each at most 3*max|s|*max|o|
+    # in size, so |A_k|, |B_k| < 2^(W-1) by the bound
+    #   W - 1 >= bitlen(max|s|) + bitlen(max|o|) + bitlen(3T).
+    # Adding half a field to each of the low T fields puts field k at
+    # A_k + 2^(W-1) in [0, 2^W): no field borrows from the next, and the
+    # low T fields unpack exactly.  W is rounded up to whole bytes
+    bits = (
+        max(map(abs, a + b)).bit_length()
+        + max(map(abs, u + v)).bit_length()
+        + (3 * T).bit_length()
+        + 1
+    )
+    n = (bits + 7) // 8  # bytes per field
+    W = 8 * n
+    pa, pb, pu, pv = _pack(a, W), _pack(b, W), _pack(u, W), _pack(v, W)
+    au, bv = pa * pu, pb * pv
+    mid = (pa + pb) * (pu + pv)
+    half = 1 << (W - 1)
+    offset = int.from_bytes(half.to_bytes(n, "little") * T, "little")
+    low = (1 << (W * T)) - 1  # the T fields below zeta^T
+    parts = []
+    for x in (au + 2 * bv, mid - au - bv):
+        buf = ((x + offset) & low).to_bytes(n * T, "little")
+        parts.append([int.from_bytes(buf[i : i + n], "little") - half for i in range(0, n * T, n)])
+    return _series(parts[0], parts[1], s._d * o._d)
+
+
 class TruncatedSeries:
     """Element of Q(sqrt2)[[zeta]] / zeta^T as a coefficient vector of length T.
 
@@ -325,16 +389,32 @@ class TruncatedSeries:
         return TruncatedSeries.monomial(0, order, value)
 
     @staticmethod
+    def from_ratios(rows: Iterable[tuple[int, int, int, int]]) -> "TruncatedSeries":
+        """The series whose zeta^k coefficient is p/q + (r/s)*sqrt2 for the
+        k-th row (p, q, r, s) of integers, q and s nonzero: Scalar.from_ratios
+        for every coefficient, over one common denominator."""
+        rows = list(rows)
+        if not rows:
+            raise ValueError("truncation order must be >= 1")
+        d = lcm(*[q * s for _, q, _, s in rows])
+        scales = [d // (q * s) for _, q, _, s in rows]
+        return _series(
+            [p * s * m for (p, _, _, s), m in zip(rows, scales)],
+            [r * q * m for (_, q, r, _), m in zip(rows, scales)],
+            d,
+        )
+
+    @staticmethod
     def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(0, order, 0)
+        return _memo_monomial(0, order, 0)
 
     @staticmethod
     def one(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(0, order)
+        return _memo_monomial(0, order, 1)
 
     @staticmethod
     def zeta(order: int) -> "TruncatedSeries":
-        return TruncatedSeries.monomial(1, order)
+        return _memo_monomial(1, order, 1)
 
     @staticmethod
     def monomial(k: int, order: int, value: ScalarLike = 1) -> "TruncatedSeries":
@@ -444,6 +524,8 @@ class TruncatedSeries:
                 return _series(
                     pad + [sign * p for p in u[:n]], pad + [sign * q for q in v[:n]], o._d
                 )
+        if T >= KRONECKER_ORDER and zeros <= T:
+            return _kronecker_product(s, o)
         A = [0] * T
         B = [0] * T
         # schoolbook convolution truncated at T, with s^2 = 2:
@@ -519,6 +601,12 @@ class TruncatedSeries:
         return f"TruncatedSeries[{self.order}]({str(self)})"
 
 
+@lru_cache(maxsize=128)
+def _memo_monomial(k: int, order: int, value: int) -> TruncatedSeries:
+    # zero, one and zeta, built once per order: the values are immutable
+    return TruncatedSeries.monomial(k, order, value)
+
+
 SeriesPair = tuple[TruncatedSeries, TruncatedSeries]
 
 
@@ -557,15 +645,6 @@ class Mat2:
 
     def col(self, j: int) -> SeriesPair:
         return (self.entries[0][j], self.entries[1][j])
-
-    def with_col(self, j: int, column: SeriesPair) -> "Mat2":
-        cols = [self.col(0), self.col(1)]
-        cols[j] = column
-        return Mat2.from_cols(cols[0], cols[1])
-
-    def scale_col(self, j: int, factor: TruncatedSeries) -> "Mat2":
-        c = self.col(j)
-        return self.with_col(j, (c[0] * factor, c[1] * factor))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         (a, b), (c, d) = self.entries

@@ -32,4 +32,4 @@ def random_series(rng: Random, order: int) -> TruncatedSeries:
 def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:
     s1 = random_sl2_matrix(rng, order)
     s2 = random_sl2_matrix(rng, order)
-    return s1.scale_col(1, TruncatedSeries.zeta(order)) @ s2
+    return s1 @ Mat2.diag(TruncatedSeries.one(order), TruncatedSeries.zeta(order)) @ s2

@@ -55,6 +55,16 @@ def test_scalar_from_ratios_matches_fractions(p, q, r, s):
     assert (x.a, x.b) == (Fraction(p, q), Fraction(r, s))
 
 
+@given(st.lists(st.tuples(st.integers(-99, 99), nonzero_ints, st.integers(-99, 99), nonzero_ints),
+                min_size=1, max_size=12))
+def test_series_from_ratios_is_scalar_from_ratios_per_coefficient(rows):
+    x = TruncatedSeries.from_ratios(rows)
+    y = TruncatedSeries.from_coeffs([Scalar.from_ratios(*row) for row in rows], len(rows))
+    assert (x._a, x._b, x._d) == (y._a, y._b, y._d)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_ratios([])
+
+
 def test_sqrt2_squares_to_two():
     assert Scalar.sqrt2() * Scalar.sqrt2() == Scalar.of(2)
 
@@ -320,5 +330,5 @@ def test_matrix_column_helpers():
         (TruncatedSeries.zero(T), TruncatedSeries.one(T)),
     )
     assert m.col(0) == (TruncatedSeries.one(T), TruncatedSeries.zeta(T))
-    scaled = m.scale_col(1, TruncatedSeries.constant(2, T))
+    scaled = m @ Mat2.diag(TruncatedSeries.one(T), TruncatedSeries.constant(2, T))
     assert scaled.col(1) == (TruncatedSeries.zero(T), TruncatedSeries.constant(2, T))

@@ -2,7 +2,7 @@
 
 Every operation is checked against two independent implementations of the
 same arithmetic: fraction_reference (one reduced Fraction pair per
-coefficient, the kernel's previous form) at orders 1..16 under hypothesis,
+coefficient, the kernel's previous form) at orders 1..32 under hypothesis,
 and sympy's QQ<sqrt(2)> with its power-series ring on seeded spot checks.
 Agreement is exact: component values, strings, and hashes.
 """
@@ -281,6 +281,52 @@ def test_monomial_products_at_every_index():
                     assert_lowest_terms(new)
 
 
+# dense products: Kronecker substitution from exact.KRONECKER_ORDER on
+
+
+@st.composite
+def wide_series_pairs(draw, order):
+    """Numerators of 1 to 400 bits, both signs, over a shared denominator,
+    with anywhere from none to all of the 2 * order numerators zero."""
+    bits = draw(st.integers(1, 400))
+    numerators = st.integers(-(2**bits - 1), 2**bits - 1)
+    d = draw(st.sampled_from((1, 3, 2**bits + 1)))
+    values = draw(st.lists(numerators, min_size=2 * order, max_size=2 * order))
+    for k in draw(st.lists(st.integers(0, 2 * order - 1), max_size=2 * order)):
+        values[k] = 0
+    parts = [(Fraction(values[k], d), Fraction(values[order + k], d)) for k in range(order)]
+    return _series_pair(parts, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=exact.KRONECKER_ORDER - 4, max_value=32))
+def test_wide_products_match_reference_on_both_sides_of_the_crossover(data, order):
+    (xn, xo), (yn, yo) = data.draw(wide_series_pairs(order)), data.draw(wide_series_pairs(order))
+    expected = xo * yo
+    for new in (xn * yn, yn * xn, exact._kronecker_product(xn, yn)):
+        assert_same_series(new, expected)
+        assert_lowest_terms(new)
+
+
+def test_worst_magnitude_products_fill_their_fields():
+    # every numerator +-(2^k - 1), one sign per operand, denominator 1: the
+    # top coefficient of the rational part is 3T times the two maxima, as
+    # large as the field width bound allows.  k1 + k2 runs over all eight
+    # residues mod 8, so a field one bit short overflows at some width
+    # rounded up to whole bytes
+    for order in (exact.KRONECKER_ORDER, 16, 21, 32):
+        for k1 in range(8, 16):
+            for k2 in (k1, k1 + 1):
+                for sign in (1, -1):
+                    m1, m2 = 2**k1 - 1, sign * (2**k2 - 1)
+                    xn, xo = _series_pair([(Fraction(m1), Fraction(m1))] * order, order)
+                    yn, yo = _series_pair([(Fraction(m2), Fraction(m2))] * order, order)
+                    product = xn * yn
+                    assert _triple(product) == _triple(exact._kronecker_product(xn, yn))
+                    assert_same_series(product, xo * yo)
+                    assert product[order - 1] == exact.Scalar(3 * order * m1 * m2, 2 * order * m1 * m2)
+
+
 def test_scalar_operators_defer_on_foreign_operands():
     x = exact.Scalar(1, 1)
     for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
@@ -352,6 +398,10 @@ def test_series_constants_match_reference(data, value, order):
         for bad in (-1, order):
             with pytest.raises(ValueError):
                 exact.TruncatedSeries.monomial(bad, order, vn)
+    # zero, one and zeta are built once per order and shared
+    for make in (exact.TruncatedSeries.zero, exact.TruncatedSeries.one, exact.TruncatedSeries.zeta):
+        if order >= 2 or make is not exact.TruncatedSeries.zeta:
+            assert make(order) is make(order)
     for make in (
         exact.TruncatedSeries.zero,
         exact.TruncatedSeries.one,

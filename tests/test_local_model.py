@@ -265,9 +265,9 @@ def test_adjugate_form_agrees_with_dense_smith_identity(order):
         corrupted = [
             ("Q without its top coefficient", p, _cut_top_coefficients(q)),
             ("one entry of P perturbed", _perturbed_entry(rng, p), q),
-            ("Q scaled by det u", p, q.scale_col(0, u)),
+            ("Q scaled by det u", p, q @ Mat2.diag(u, one)),
             # P @ phi @ Q still equals diag(1, zeta); only det Q == 1 fails
-            ("Q scaled by det u, P compensating", Mat2.diag(u.inverse(), one) @ p, q.scale_col(0, u)),
+            ("Q scaled by det u, P compensating", Mat2.diag(u.inverse(), one) @ p, q @ Mat2.diag(u, one)),
         ]
         for name, pp, qq in corrupted:
             expected = _dense_smith_identity(phi, pp, qq)
@@ -424,7 +424,7 @@ def _frame_off_by_a_unit(data):
     def faulty(order):
         point, eps, _ = data(order)
         u = TruncatedSeries.one(order) + TruncatedSeries.zeta(order)
-        eps = eps.scale_col(0, u).scale_col(1, u.inverse())
+        eps = eps @ Mat2.diag(u, u.inverse())
         return point, eps, higgs_from_kernel_frame(eps)
 
     return faulty
