@@ -57,7 +57,7 @@ CHECK_FAILURE = 2
 # on a stable configuration (its rank) and 0.7 to 0.9 s with --rmax 32 on
 # a file of non-stable ones, which share one count of 1,620 digits per
 # power, well under the 4,300 Python prints.  The local-model suite at order
-# 32 with 500 cases runs for 2 to 2.5 s
+# 32 with 500 cases runs for 1.5 to 2 s
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps

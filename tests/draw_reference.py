@@ -15,6 +15,8 @@ from random import Random
 from su12fiber.exact import Mat2, Scalar, TruncatedSeries
 from su12fiber.local_model import random_sl2_matrix
 
+from paper_reference import series_from_coeffs
+
 
 def random_scalar(rng: Random, *, nonzero: bool = False) -> Scalar:
     while True:
@@ -26,7 +28,7 @@ def random_scalar(rng: Random, *, nonzero: bool = False) -> Scalar:
 
 
 def random_series(rng: Random, order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs([random_scalar(rng) for _ in range(order)], order)
+    return series_from_coeffs([random_scalar(rng) for _ in range(order)], order)
 
 
 def random_det_zeta_matrix(rng: Random, order: int) -> Mat2:

@@ -228,7 +228,20 @@ def series_parse(values: Sequence[str], order: int | None = None) -> TruncatedSe
     0 included, must hold all of them.
     """
     coeffs = [Scalar.parse(v) for v in values]
-    return TruncatedSeries.from_coeffs(coeffs, len(coeffs) if order is None else order)
+    return series_from_coeffs(coeffs, len(coeffs) if order is None else order)
+
+
+def series_from_coeffs(values: Iterable[ScalarLike], order: int) -> TruncatedSeries:
+    """The series with the given leading coefficients, zero-padded to the
+    order, as a sum of monomials.  An order below 1, or one too small to
+    hold every coefficient, raises ValueError."""
+    coeffs = list(values)
+    if len(coeffs) > order:
+        raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
+    total = TruncatedSeries.zero(order)
+    for k, c in enumerate(coeffs):
+        total = total + TruncatedSeries.monomial(k, order, c)
+    return total
 
 
 def matrix_inverse(m: Mat2) -> Mat2:

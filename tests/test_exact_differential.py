@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_reference as ref
-from paper_reference import series_to_strings, series_valuation
+from paper_reference import series_from_coeffs, series_to_strings, series_valuation
 from su12fiber import exact
-from su12fiber.errors import NonUnitError
+from su12fiber.errors import NonUnitError, OrderMismatchError
 
 MAX_ORDER = 16
 
@@ -40,7 +40,7 @@ def scalar_pairs(draw, nonzero=False):
 
 
 def _series_pair(parts, order):
-    new = exact.TruncatedSeries.from_coeffs([exact.Scalar(a, b) for a, b in parts], order)
+    new = series_from_coeffs([exact.Scalar(a, b) for a, b in parts], order)
     old = ref.TruncatedSeries.from_coeffs([ref.Scalar(a, b) for a, b in parts], order)
     return new, old
 
@@ -260,7 +260,7 @@ def test_zeta_times_a_series_renormalizes_what_truncation_drops():
     # at T = 2, zeta * (1 + zeta/2) is zeta: the 1/2 that kept (0, 2)/2 in
     # lowest terms falls off the top, and the shift must reduce to (0, 1)/1
     zeta = exact.TruncatedSeries.zeta(2)
-    x = exact.TruncatedSeries.from_coeffs([1, Fraction(1, 2)], 2)
+    x = series_from_coeffs([1, Fraction(1, 2)], 2)
     for product in (zeta * x, x * zeta):
         assert product == zeta
         assert _triple(product) == ((0, 1), (0, 0), 1)
@@ -325,6 +325,40 @@ def test_worst_magnitude_products_fill_their_fields():
                     assert _triple(product) == _triple(exact._kronecker_product(xn, yn))
                     assert_same_series(product, xo * yo)
                     assert product[order - 1] == exact.Scalar(3 * order * m1 * m2, 2 * order * m1 * m2)
+
+
+# one coefficient of a product: exact.product_coeff, which smith_form reads
+# its truncation defect with
+
+
+@st.composite
+def product_coeff_operands(draw, order):
+    """The zero series, +-zeta^k, a constant with a sqrt2 part, or a dense
+    series of 1- to 400-bit numerators of both signs."""
+    kind = draw(st.sampled_from(("0", "zeta^k", "-zeta^k", "constant", "wide")))
+    if kind == "wide":
+        return draw(wide_series_pairs(order))
+    if kind == "constant":
+        head = (draw(components), draw(nonzero_components))
+        return _series_pair([head] + [(Fraction(0), Fraction(0))] * (order - 1), order)
+    return draw(identity_operands(kind, order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=32))
+def test_product_coeff_is_the_coefficient_of_the_product(data, order):
+    xn, xo = data.draw(product_coeff_operands(order))
+    yn, yo = data.draw(product_coeff_operands(order))
+    product, expected = xn * yn, xo * yo
+    for k in range(order):
+        c = exact.product_coeff(xn, yn, k)
+        assert c == product[k]
+        assert_same_scalar(c, expected[k])
+    for k in (-1, order):
+        with pytest.raises(ValueError):
+            exact.product_coeff(xn, yn, k)
+    with pytest.raises(OrderMismatchError):
+        exact.product_coeff(xn, exact.TruncatedSeries.zero(order + 1), 0)
 
 
 def test_scalar_operators_defer_on_foreign_operands():
@@ -393,7 +427,7 @@ def test_series_constants_match_reference(data, value, order):
             cases.append((*zeta, [0, 1]))
         for new, old, head in cases:
             assert_same_series(new, old)
-            padded = exact.TruncatedSeries.from_coeffs(head, order)
+            padded = series_from_coeffs(head, order)
             assert _triple(new) == _triple(padded)
         for bad in (-1, order):
             with pytest.raises(ValueError):
@@ -480,7 +514,7 @@ def test_spot_check_against_sympy_quadratic_field():
         coeffs = [exact.Scalar.zero()] * order
         for (k,), c in p.terms():
             coeffs[k] = from_field(c)
-        return exact.TruncatedSeries.from_coeffs(coeffs, order)
+        return series_from_coeffs(coeffs, order)
 
     rng = Random(20260)
 
@@ -495,8 +529,8 @@ def test_spot_check_against_sympy_quadratic_field():
         if not x.is_zero():
             assert from_field(field.one / to_field(x)) == x.inverse()
     for order in (1, 2, 3, 5, 8, 12, MAX_ORDER):
-        u = exact.TruncatedSeries.from_coeffs([scalar() for _ in range(order)], order)
-        v = exact.TruncatedSeries.from_coeffs([scalar() for _ in range(order)], order)
+        u = series_from_coeffs([scalar() for _ in range(order)], order)
+        v = series_from_coeffs([scalar() for _ in range(order)], order)
         product = rs_mul(to_ring(u), to_ring(v), z, order)
         assert from_ring(product, order) == u * v
         if u.is_unit():

@@ -25,7 +25,7 @@ from su12fiber.local_model import (
     verification_suite,
 )
 
-from paper_reference import matrix_inverse
+from paper_reference import matrix_inverse, series_from_coeffs
 
 T = DEFAULT_ORDER
 ONE = TruncatedSeries.one(T)
@@ -48,7 +48,7 @@ def _frame(order, *rows):
     # each entry is given by its leading coefficients, zero-padded to the order
     return Mat2(
         tuple(
-            tuple(TruncatedSeries.from_coeffs([sc(c) for c in e], order) for e in row)
+            tuple(series_from_coeffs([sc(c) for c in e], order) for e in row)
             for row in rows
         )
     )
@@ -239,7 +239,7 @@ def _dense_smith_identity(phi, p, q):
 def _cut_top_coefficients(m):
     return Mat2(
         tuple(
-            tuple(TruncatedSeries.from_coeffs(e.coeffs[:-1], e.order) for e in row)
+            tuple(series_from_coeffs(e.coeffs[:-1], e.order) for e in row)
             for row in m.entries
         )
     )
@@ -380,7 +380,7 @@ def _q_without_top_coefficient(smith):
     def faulty(phi):
         p, q = smith(phi)
         cut = tuple(
-            tuple(TruncatedSeries.from_coeffs(e.coeffs[:-1], e.order) for e in row)
+            tuple(series_from_coeffs(e.coeffs[:-1], e.order) for e in row)
             for row in q.entries
         )
         return p, Mat2(cut)

@@ -57,7 +57,7 @@ PINNED_IMPORTS = {
         "configuration": "FiberPoint",
         "errors": "HeckeDatumError InternalInconsistencyError OrderMismatchError "
         "SmithPreconditionError",
-        "exact": "DEFAULT_ORDER Mat2 Scalar SeriesPair TruncatedSeries",
+        "exact": "DEFAULT_ORDER Mat2 Scalar SeriesPair TruncatedSeries product_coeff",
     },
     "stability": {"errors": "InvalidGenusError"},
 }
