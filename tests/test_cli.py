@@ -634,18 +634,32 @@ def echo_commands():
     return {name: c._replace(run=echo) for name, c in cli._COMMANDS.items()}
 
 
+# ints Python converts to text only up to 4,300 digits, so int() refuses this one
+TOO_LONG_INT = "1" * 4301
+
 CLI_TOKENS = [
     *cli._COMMANDS,
     "--genus", "--degree", "--format", "--output", "--dbeta", "--dgamma", "--input",
     "--rmax", "--truncation", "--seed", "--cases",
     "-h", "--help", "--", "0", "2", "-1", "1.5", "json", "csv", "xml", "junk",
     "--genus=3", "--gen", "stabilit", "--nope", "-x",
+    # both sides of main's rule for values: "-" and ASCII digits, or no "-" first
+    "-0", "-12", "+3", " 3", "3_0", "\u0663", "-\u0663", "", "-", "-1.5", "-5 ",
+    "--degree=-1", TOO_LONG_INT,
 ]
+
+# values by the kind of flag: ones main reads without argparse, and ones it
+# hands to argparse because argparse refuses them or they start with "-"
+FLAG_VALUES = {
+    int: (["0", "1", "2", "3", "-1", "-0", "-12", "+3", " 3", "3_0", "\u0663"],
+          ["1.5", "-1.5", "-\u0663", TOO_LONG_INT]),
+    str: (["c.json", "census", "-12", "x y", ""], ["-", "-5 ", "--", "-h"]),
+}
 
 
 def full_parser_main(argv):
     # main's usage-error handling around the top-level parser with every
-    # subcommand: the reference for main's one-parser route
+    # subcommand: the reference for every route of main
     try:
         args = cli._build_parser().parse_args(argv)
     except cli._UsageError as exc:
@@ -654,15 +668,34 @@ def full_parser_main(argv):
     return cli._COMMANDS[args.command].run(args)
 
 
-@settings(max_examples=300, deadline=None)
+@st.composite
+def flag_pairs(draw):
+    """A subcommand name and "--flag value" pairs, mostly well formed: every
+    required flag, in shuffled order, some flags repeated, and one value in
+    eight one that main hands to argparse."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[name].flags
+    chosen = [f for f in flags if f.required] + draw(st.lists(st.sampled_from(flags), max_size=4))
+    pairs = []
+    for flag in draw(st.permutations(chosen)):
+        good, bad = (flag.choices, ["xml"]) if flag.choices else FLAG_VALUES[flag.type or str]
+        pairs += [flag.name, draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 0 else good))]
+    return [name, *pairs]
+
+
+@settings(max_examples=500, deadline=None)
 @given(
-    # a subcommand name first in most examples, so most take main's one-parser route
-    st.sampled_from([*cli._COMMANDS, None]),
-    st.lists(st.sampled_from(CLI_TOKENS), max_size=8),
+    # a subcommand name first in most uniform examples, so most take a route
+    # that starts from the subcommand's own flags
+    st.builds(
+        lambda name, tokens: tokens if name is None else [name, *tokens],
+        st.sampled_from([*cli._COMMANDS, None]),
+        st.lists(st.sampled_from(CLI_TOKENS), max_size=8),
+    )
+    | flag_pairs()
 )
-def test_main_parses_as_the_full_parser(name, tokens):
+def test_main_parses_as_the_full_parser(argv):
     # main reads argv as the top-level parser with every subcommand does
-    argv = tokens if name is None else [name, *tokens]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_COMMANDS", echo_commands())
         routed = make_cli_digests.run(argv)
@@ -670,22 +703,37 @@ def test_main_parses_as_the_full_parser(name, tokens):
         assert routed == make_cli_digests.run(argv)
 
 
+def parser_count_case(argv, built, code=0):
+    # labelled by argv and the subcommands it names
+    named = argv[:1] if argv[0] in cli._COMMANDS else list(cli._COMMANDS)
+    return pytest.param(
+        argv, built, code, id="-".join("_".join(v).replace("-", "") for v in (argv, named))
+    )
+
+
 @pytest.mark.parametrize(
-    "argv, built",
+    "argv, built, code",
     [
-        (["stability", "--genus", "2", "--dbeta", "1", "--dgamma", "1"], ["stability"]),
-        (["census", "--genus", "2"], ["census"]),
-        (["git-classify", "--genus", "2", "--input", "c.json"], ["git-classify"]),
-        (["local-model-verify", "--cases", "1"], ["local-model-verify"]),
-        # a subcommand name given as a value builds no parser
-        (["git-classify", "--genus", "2", "--input", "census"], ["git-classify"]),
-        (["--help"], list(cli._COMMANDS)),
+        # a subcommand name and exact "--flag value" pairs build no parser,
+        # also with a subcommand name given as a value
+        parser_count_case(["stability", "--genus", "2", "--dbeta", "1", "--dgamma", "1"], []),
+        parser_count_case(["census", "--genus", "2"], []),
+        parser_count_case(["git-classify", "--genus", "2", "--input", "c.json"], []),
+        parser_count_case(["local-model-verify", "--cases", "1"], []),
+        parser_count_case(["git-classify", "--genus", "2", "--input", "census"], []),
+        # help, and an argv the flag table does not read exactly, build the
+        # one subparser argv names
+        parser_count_case(["census", "-h"], ["census"]),
+        parser_count_case(["census", "--genus=2"], ["census"]),
+        parser_count_case(["census", "--gen", "2"], ["census"]),
+        parser_count_case(["census", "--genus", "two"], ["census"], code=cli.USAGE_ERROR),
+        parser_count_case(["--help"], list(cli._COMMANDS)),
     ],
-    ids=lambda value: "_".join(value).replace("-", "") or "none",
 )
-def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built):
-    # one parser for a subcommand call; the top-level parser, and with it
-    # every subparser, only for an argv that does not start with a name
+def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built, code):
+    # no parser for a call the flag table reads, the subparser for another
+    # call that starts with a subcommand name, and the top-level parser, and
+    # with it every subparser, only for an argv that does not
     progs = []
     init = cli._Parser.__init__
 
@@ -695,7 +743,7 @@ def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built):
 
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     monkeypatch.setattr(cli, "_COMMANDS", echo_commands())
-    assert make_cli_digests.run(argv)[0] == 0
+    assert make_cli_digests.run(argv)[0] == code
     top = [] if argv[0] in cli._COMMANDS else ["su12fiber"]
     assert progs == top + [f"su12fiber {name}" for name in built]
 
