@@ -19,11 +19,11 @@ table, with no parser built, when each flag is an exact name in the table,
 each value does not start with "-" or is "-" and ASCII digits, each int
 converts, each choice is allowed and every required flag is given; a
 repeated flag keeps its last value, as in argparse.  Every other argv, help
-and errors included, goes to argparse unchanged: to the parser of the
-subcommand it names, built from the same table, or else to the top-level
-parser.  So the namespace, help and error text are argparse's own for every
-argv.  Building a subcommand's parser and parsing with it takes about
-0.35 ms (CPython 3.11.7, x86_64), about half of a small git-classify call.
+and errors included, goes unchanged to the one argparse parser, built from
+the same table with every subcommand.  So the namespace, help and error text
+are argparse's own for every argv.  Building that parser and parsing with it
+takes about 0.9 ms (CPython 3.11.7, x86_64, "census --genus=2"), which only
+help, errors and other spellings (such as "--genus=2" or "--gen") pay.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ CHECK_FAILURE = 2
 # (interpreter start included), and git-classify spends at most about 3 s
 # on a stable configuration (its rank) and 0.7 to 0.9 s with --rmax 32 on
 # a file of non-stable ones, which share one count of 1,620 digits per
-# power, well under the 4,300 Python prints.  The local-model suite at order
-# 32 with 500 cases runs for 1.5 to 2 s
+# power, well under the 4,300 Python prints.  The README gives the time of
+# the largest local-model suite, at order 32 with 500 cases
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps
@@ -133,20 +133,9 @@ def _add_flags(parser: argparse.ArgumentParser, flags: tuple[_Flag, ...]) -> Non
         )
 
 
-def _subparser(name: str) -> _Parser:
-    """The parser of one subcommand.  argparse hands all that follows a
-    subcommand name to the subparser it names "su12fiber <name>", and
-    _Parser.error drops the prog, so this parser alone gives the same
-    namespace, help and errors as the full parser for such an argv."""
-    parser = _Parser(prog=f"su12fiber {name}")
-    _add_flags(parser, _COMMANDS[name].flags)
-    return parser
-
-
 def _build_parser() -> _Parser:
-    """The top-level parser with every subcommand.  main() reads only an argv
-    that does not start with a subcommand name through it: no arguments,
-    help, an unknown name, options before the name or a leading "--"."""
+    """The top-level parser with every subcommand.  main() reads through it
+    every argv that the flag table does not read (see _read_exact)."""
     parser = _Parser(
         prog="su12fiber",
         description="Exact stability, census, and torus-quotient reports "
@@ -529,11 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         args = _read_exact(argv)
-        if args is None and argv and argv[0] in _COMMANDS:
-            args = _subparser(argv[0]).parse_args(
-                argv[1:], argparse.Namespace(command=argv[0])
-            )
-        elif args is None:
+        if args is None:
             args = _build_parser().parse_args(argv)
         code = _COMMANDS[args.command].run(args)
         # what is still buffered is written here, so a failed write is

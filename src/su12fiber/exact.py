@@ -75,11 +75,7 @@ def _as_fraction(x: Union[int, Fraction]) -> Fraction:
 
 def _operand(x: object) -> "Scalar | None":
     """x as a Scalar if it is a ScalarLike, else None."""
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar(x)
-    return None
+    return Scalar.of(x) if isinstance(x, (Scalar, int, Fraction)) else None
 
 
 def _scalar(a: int, b: int, d: int) -> "Scalar":
@@ -95,12 +91,12 @@ def _scalar(a: int, b: int, d: int) -> "Scalar":
     return s
 
 
-# the rational part of a literal, and the whole README grammar: "p/q",
-# "p/q+r/s*sqrt2", "p/q-r/s*sqrt2" and "r/s*sqrt2", integers allowed
-_RATIONAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
+# the README grammar, "p/q", "p/q+r/s*sqrt2", "p/q-r/s*sqrt2" and
+# "r/s*sqrt2", integers allowed, one group per integer; r carries the sign
+# between the two parts, which it must have when p is there
 _LITERAL = re.compile(
-    rf"(?P<a>{_RATIONAL})(?:(?P<sign>[+-])(?P<b>[0-9]+(?:/[0-9]+)?)\*sqrt2)?"
-    rf"|(?P<b_alone>{_RATIONAL})\*sqrt2"
+    r"(?:(?P<p>[+-]?[0-9]+)(?:/(?P<q>[0-9]+))?)?"
+    r"(?:(?P<r>(?(p)[+-]|[+-]?)[0-9]+)(?:/(?P<s>[0-9]+))?\*sqrt2)?"
 )
 
 
@@ -151,7 +147,7 @@ class Scalar:
             return x
         if x.__class__ is int:  # not a bool, which takes the Fraction route
             return _scalar(x, 0, 1)
-        return Scalar(_as_fraction(x))
+        return Scalar(x)
 
     @staticmethod
     def from_ratios(p: int, q: int, r: int, s: int) -> "Scalar":
@@ -255,23 +251,21 @@ class Scalar:
         """
         if not isinstance(text, str):
             raise ValueError(f"scalar literal must be a string, got {text!r}")
-        s = text.strip().replace(" ", "")
-        if not s:
+        literal = text.strip().replace(" ", "")
+        if not literal:
             raise ValueError("empty scalar literal")
-        if len(s) > MAX_LITERAL_LENGTH:
+        if len(literal) > MAX_LITERAL_LENGTH:
             raise ValueError(
-                f"scalar literal of {len(s)} characters exceeds {MAX_LITERAL_LENGTH}"
+                f"scalar literal of {len(literal)} characters exceeds {MAX_LITERAL_LENGTH}"
             )
-        m = _LITERAL.fullmatch(s)
+        m = _LITERAL.fullmatch(literal)
         if m is None:
             raise ValueError(f"malformed scalar literal: {text!r}")
-        try:
-            if m["b_alone"] is not None:
-                return Scalar(0, Fraction(m["b_alone"]))
-            b = Fraction(m["b"]) if m["b"] is not None else Fraction(0)
-            return Scalar(Fraction(m["a"]), -b if m["sign"] == "-" else b)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
+        # an absent numerator reads 0 and an absent denominator 1
+        p, q, r, s = (int(m[k] or default) for k, default in zip("pqrs", "0101"))
+        if not q or not s:
+            raise ValueError(f"zero denominator in scalar literal: {text!r}")
+        return Scalar.from_ratios(p, q, r, s)
 
 
 _ZERO = Scalar(0, 0)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from su12fiber.configuration import Configuration, FiberPoint, act, mark_data
@@ -79,6 +81,66 @@ def stratum_dimension(p: ModuliParams, part: LabeledPartition) -> int:
     if classify_partition(p, part) is not StabilityClass.STABLE:
         raise ValueError("stratum dimension is defined for stable partitions only")
     return p.g + part.d_r
+
+
+# the census as the face lattice of the hypersimplex (stability)
+
+
+def _rank(rows: list[list[int]]) -> int:
+    """The rank of an integer matrix, by fraction-free elimination."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        k = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        rows[rank], rows[k] = rows[k], rows[rank]
+        pivot = rows[rank]
+        rank += 1
+        for k in range(rank, len(rows)):
+            r = [x * pivot[col] - y * rows[k][col] for x, y in zip(rows[k], pivot)]
+            g = gcd(*r)
+            rows[k] = [x // g for x in r] if g else r
+    return rank
+
+
+def hypersimplex_f_vector(N: int, n: int) -> list[int]:
+    """f_j, the number of faces of dimension j for j = 0 .. N - 1, of the
+    hypersimplex Delta(n, N) = {x in [0, 1]^N : sum x = n}, 0 < n < N.
+
+    Brute force over the 0/1 vertices.  A face of Delta(n, N) fixes some
+    coordinates at 1 and some at 0, and the functional in {-1, 0, 1}^N that
+    is +1 on the first and -1 on the second is largest exactly on it; so
+    the faces are the distinct sets of vertices where one of the 3^N such
+    functionals is largest.  A face's dimension is the rank of the vectors
+    v - v0 between its vertices.  Neither classify_counts nor the census
+    recurrence is read; the torus orbits of the quotient (P^1)^N //_n C^*
+    are these faces (Gelfand, Goresky, MacPherson and Serganova 1987;
+    Fulton, Introduction to Toric Varieties, section 3.1).
+    """
+    vertices = [v for v in product((0, 1), repeat=N) if sum(v) == n]
+    ones = [[i for i in range(N) if v[i]] for v in vertices]
+    faces = set()
+    for c in product((-1, 0, 1), repeat=N):
+        values = [sum(c[i] for i in s) for s in ones]
+        top = max(values)
+        faces.add(frozenset(k for k, x in enumerate(values) if x == top))
+    f = [0] * N
+    for face in faces:
+        v0, *rest = (vertices[k] for k in face)
+        f[_rank([[x - y for x, y in zip(v, v0)] for v in rest])] += 1
+    return f
+
+
+def e_polynomial(f: Sequence[int]) -> list[int]:
+    """The coefficients, constant first, of sum_j f_j (q - 1)^j: the
+    E-polynomial of the toric variety whose orbits of dimension j number f_j."""
+    coeffs = [0] * len(f)
+    power = [1]  # (q - 1)^j
+    for f_j in f:
+        for i, c in enumerate(power):
+            coeffs[i] += f_j * c
+        power = [a - b for a, b in zip([0, *power], [*power, 0])]
+    return coeffs
 
 
 # configurations: strata and orbits

@@ -244,6 +244,16 @@ def test_git_classify_rejects_bad_json(tmp_path, capsys):
         assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
 
 
+def test_git_classify_reads_a_duplicate_key_as_its_last_value(tmp_path, capsys):
+    # the input contract, pinned: json.load keeps the last of duplicate keys,
+    # and the file is read, not refused
+    path = tmp_path / "dup.json"
+    path.write_text('[{"base": "L", "base": "M", "points": ["zero", {"t": "1"}, {"t": "2"}, "inf"]}]')
+    code, payload, err = run_json(capsys, "git-classify", "--genus", "2", "--input", str(path))
+    assert code == 0 and err == ""
+    assert payload["configurations"][0]["input"]["base"] == "M"
+
+
 def test_git_classify_rejects_missing_file(capsys):
     code, _, err = run(capsys, "git-classify", "--genus", "2", "--input", "/nonexistent.json")
     assert code == 1
@@ -711,6 +721,10 @@ def parser_count_case(argv, built, code=0):
     )
 
 
+# the progs of the top-level parser and its subparsers, in the order built
+ALL_PARSERS = ["su12fiber", *(f"su12fiber {name}" for name in cli._COMMANDS)]
+
+
 @pytest.mark.parametrize(
     "argv, built, code",
     [
@@ -722,18 +736,17 @@ def parser_count_case(argv, built, code=0):
         parser_count_case(["local-model-verify", "--cases", "1"], []),
         parser_count_case(["git-classify", "--genus", "2", "--input", "census"], []),
         # help, and an argv the flag table does not read exactly, build the
-        # one subparser argv names
-        parser_count_case(["census", "-h"], ["census"]),
-        parser_count_case(["census", "--genus=2"], ["census"]),
-        parser_count_case(["census", "--gen", "2"], ["census"]),
-        parser_count_case(["census", "--genus", "two"], ["census"], code=cli.USAGE_ERROR),
-        parser_count_case(["--help"], list(cli._COMMANDS)),
+        # top-level parser, also when argv starts with a subcommand name
+        parser_count_case(["census", "-h"], ALL_PARSERS),
+        parser_count_case(["census", "--genus=2"], ALL_PARSERS),
+        parser_count_case(["census", "--gen", "2"], ALL_PARSERS),
+        parser_count_case(["census", "--genus", "two"], ALL_PARSERS, code=cli.USAGE_ERROR),
+        parser_count_case(["--help"], ALL_PARSERS),
     ],
 )
 def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built, code):
-    # no parser for a call the flag table reads, the subparser for another
-    # call that starts with a subcommand name, and the top-level parser, and
-    # with it every subparser, only for an argv that does not
+    # no parser for a call the flag table reads, and the top-level parser,
+    # and with it every subparser, for any other argv
     progs = []
     init = cli._Parser.__init__
 
@@ -744,8 +757,7 @@ def test_a_call_builds_only_the_parsers_argv_names(monkeypatch, argv, built, cod
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     monkeypatch.setattr(cli, "_COMMANDS", echo_commands())
     assert make_cli_digests.run(argv)[0] == code
-    top = [] if argv[0] in cli._COMMANDS else ["su12fiber"]
-    assert progs == top + [f"su12fiber {name}" for name in built]
+    assert progs == built
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,14 @@ from su12fiber.stability import (
     polystable_split_degrees,
 )
 
-from paper_reference import Label, LabeledPartition, classify_partition, stratum_dimension
+from paper_reference import (
+    Label,
+    LabeledPartition,
+    classify_partition,
+    e_polynomial,
+    hypersimplex_f_vector,
+    stratum_dimension,
+)
 
 G2D0 = ModuliParams(2, 0)
 
@@ -194,3 +202,29 @@ def test_census_is_deterministic():
     a: CensusResult = census(G2D0)
     b: CensusResult = census(G2D0)
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("g, d", [(2, 0), (3, -1), (3, 0), (3, 1)])
+def test_census_is_the_face_lattice_of_the_hypersimplex(g, d):
+    # the quotient (P^1)^N //_n C^* is the toric variety of the hypersimplex
+    # Delta(n, N); its faces, counted by brute force, are the census's cells
+    p = ModuliParams(g, d)
+    f = hypersimplex_f_vector(p.N, p.n)
+    result = census(p)
+    stable = [0] * (p.N + 1)  # labeled stable count by d_r
+    for row in result.rows:
+        if row.stability is StabilityClass.STABLE:
+            stable[row.d_r] += row.labeled_count
+    # the faces of dimension j >= 1 are the stable cells with d_r = j + 1,
+    # and no stable cell has d_r < 2
+    assert f[1:] == stable[2:] and stable[:2] == [0, 0]
+    # the vertices are the strictly polystable cells; f_0 is also the
+    # Euler characteristic of the quotient
+    assert f[0] == comb(p.N, p.n) == result.class_total(StabilityClass.STRICTLY_POLYSTABLE)
+    # the E-polynomial has the degree N - 1 = 4g - 5 of the quotient, monic
+    e = e_polynomial(f)
+    assert len(e) == p.N and e[-1] == 1
+    if (g, d) == (2, 0):
+        assert e == [1, -1, 5, 1]  # q^3 + 5q^2 - q + 1
+    if (g, d) == (3, 0):
+        assert f == [70, 560, 1120, 980, 448, 112, 16, 1]
