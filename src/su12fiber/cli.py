@@ -11,7 +11,10 @@ Four subcommands, all batch-oriented and deterministic:
 
 Exit codes: 0 success, 1 usage or input error, 2 a check or oracle
 disagreement failed.  Output is byte-identical for identical flags and
-seed; census and git-classify also emit CSV.
+seed.  Every subcommand writes JSON, or CSV with "--format csv", and every
+report leaves through one sink (_write), to stdout or to the file --output
+names.  The sink opens that file only after every check has passed, so a
+refused request neither creates nor truncates it.
 
 Each subcommand's flags are declared once, in its table in _COMMANDS.  An
 argv that is a subcommand name and "--flag value" pairs is read from that
@@ -29,13 +32,12 @@ help, errors and other spellings (such as "--genus=2" or "--gen") pay.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
 import os
 import sys
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import local_model
 from .configuration import Configuration, config_from_json, config_to_json
@@ -177,29 +179,26 @@ def _read_exact(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     return argparse.Namespace(**values)
 
 
-@contextlib.contextmanager
-def _opened(output: Optional[str]) -> Iterator[TextIO]:
+def _write(pieces: Iterable[str], output: Optional[str]) -> None:
+    """Each piece, as it comes, to stdout or to the file --output names.
+    Every handler calls this after its last check."""
     if output is None:
-        yield sys.stdout
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    with _opened(output) as out:
-        out.write(text)
+            fh.writelines(pieces)
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str]) -> str:
+def _csv_text(columns: Sequence[str], records: Iterable[dict], comments: Iterable[str]) -> str:
+    """A header of columns, then those fields of each JSON record, one row each."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
     for line in comments:
         buf.write(f"# {line}\n")
     return buf.getvalue()
@@ -278,13 +277,12 @@ def _cmd_stability(args: argparse.Namespace) -> int:
             else None
         ),
     }
-    if args.format == "json":
-        _emit(_json_text(payload), args.output)
-    else:
-        header = ["genus", "degree", "d_beta", "d_gamma", "d_rest", "stability", "stratum_dimension"]
-        row = [p.g, p.d, d_beta, d_gamma, d_rest, cls.value, payload["stratum_dimension"]]
-        comments = [f"{iq['values']} -> {iq['holds']}" for iq in payload["inequalities"]]
-        _emit(_csv_text(header, [row], comments), args.output)
+    text = _json_text(payload) if args.format == "json" else _csv_text(
+        ["genus", "degree", "d_beta", "d_gamma", "d_rest", "stability", "stratum_dimension"],
+        [payload],
+        [f"{iq['values']} -> {iq['holds']}" for iq in payload["inequalities"]],
+    )
+    _write((text,), args.output)
     return 0
 
 
@@ -352,10 +350,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     _warn_degree(p)
     # each run of cells is written as soon as it is computed, so the text
     # is never held whole
-    pieces = _census_json(p) if args.format == "json" else _census_csv(p)
-    with _opened(args.output) as out:
-        for piece in pieces:
-            out.write(piece)
+    _write(_census_json(p) if args.format == "json" else _census_csv(p), args.output)
     return 0
 
 
@@ -433,27 +428,23 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
             }
         )
 
-    if args.format == "json":
-        payload = {
-            "command": "git-classify",
-            "genus": p.g,
-            "degree": p.d,
-            "slots": p.N,
-            "weight_parameter": p.n,
-            "r_max": args.rmax,
-            "configurations": reports,
-            "all_agree": all_agree,
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        header = ["index", "closed_form", "brute_force", "agreement", "fixed_point",
-                  "monomials_enumerated"]
-        rows = [
-            [r["index"], r["closed_form"], r["brute_force"], r["agreement"],
-             r["fixed_point"], r["monomials_enumerated"]]
-            for r in reports
-        ]
-        _emit(_csv_text(header, rows, [f"all_agree {all_agree}"]), args.output)
+    payload = {
+        "command": "git-classify",
+        "genus": p.g,
+        "degree": p.d,
+        "slots": p.N,
+        "weight_parameter": p.n,
+        "r_max": args.rmax,
+        "configurations": reports,
+        "all_agree": all_agree,
+    }
+    text = _json_text(payload) if args.format == "json" else _csv_text(
+        ["index", "closed_form", "brute_force", "agreement", "fixed_point",
+         "monomials_enumerated"],
+        reports,
+        [f"all_agree {all_agree}"],
+    )
+    _write((text,), args.output)
     return 0 if all_agree else CHECK_FAILURE
 
 
@@ -464,15 +455,11 @@ def _cmd_local_verify(args: argparse.Namespace) -> int:
     _check_range("--truncation", args.truncation, 2, MAX_TRUNCATION)
     _check_range("--cases", args.cases, 1, MAX_CASES)
     report = local_model.verification_suite(args.truncation, args.seed, args.cases)
-    if args.format == "json":
-        _emit(_json_text({"command": "local-model-verify", **report}), args.output)
-    else:
-        header = ["name", "passed", "detail"]
-        rows = [[c["name"], c["passed"], c["detail"]] for c in report["checks"]]
-        _emit(
-            _csv_text(header, rows, [f"all_passed {report['all_passed']}"]),
-            args.output,
-        )
+    payload = {"command": "local-model-verify", **report}
+    text = _json_text(payload) if args.format == "json" else _csv_text(
+        ["name", "passed", "detail"], report["checks"], [f"all_passed {report['all_passed']}"]
+    )
+    _write((text,), args.output)
     return 0 if report["all_passed"] else CHECK_FAILURE
 
 

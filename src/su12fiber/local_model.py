@@ -29,7 +29,6 @@ from .configuration import FiberPoint
 from .errors import (
     HeckeDatumError,
     InternalInconsistencyError,
-    OrderMismatchError,
     SmithPreconditionError,
 )
 from .exact import DEFAULT_ORDER, Mat2, Scalar, SeriesPair, TruncatedSeries, product_coeff
@@ -85,15 +84,6 @@ class LocalHiggs:
 
     beta: SeriesPair
     gamma: SeriesPair
-
-    def __post_init__(self) -> None:
-        orders = {s.order for s in (*self.beta, *self.gamma)}
-        if len(orders) != 1:
-            raise OrderMismatchError(f"mixed truncation orders: {sorted(orders)}")
-
-    @property
-    def order(self) -> int:
-        return self.beta[0].order
 
     def gamma_beta(self) -> TruncatedSeries:
         return self.gamma[0] * self.beta[0] + self.gamma[1] * self.beta[1]

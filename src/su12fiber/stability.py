@@ -160,10 +160,6 @@ class CensusResult:
     def stable_total(self) -> int:
         return self.class_total(StabilityClass.STABLE)
 
-    @property
-    def grand_total(self) -> int:
-        return sum(r.labeled_count for r in self.rows)
-
 
 def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
     """Exhaustive classification of all (d_beta, d_gamma) cells, as runs of

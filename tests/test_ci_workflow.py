@@ -15,8 +15,15 @@ def test_workflow_runs_no_inline_python_program():
     assert inline == [] and heredocs == []
 
 
+# tests/ci scripts the workflow does not call -> why
+NOT_CALLED = {
+    "run_local.py": "it runs the workflow's own steps on a local machine",
+}
+
+
 def test_workflow_calls_each_ci_script_and_only_scripts_that_exist():
     text = WORKFLOW.read_text(encoding="utf-8")
     called = set(re.findall(r"tests/ci/[\w./-]+", text))
     assert all((ROOT / path).is_file() for path in called), called
-    assert called == {f"tests/ci/{p.name}" for p in (ROOT / "tests" / "ci").glob("*.py")}
+    scripts = {p.name for p in (ROOT / "tests" / "ci").glob("*.py")} - set(NOT_CALLED)
+    assert called == {f"tests/ci/{name}" for name in scripts}

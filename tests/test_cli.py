@@ -767,10 +767,50 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_output_flag_writes_file(tmp_path, capsys):
-    out_path = tmp_path / "report.json"
-    code, stdout, _ = run(
-        capsys, "census", "--genus", "2", "--output", str(out_path)
+    configs = write_configs(
+        tmp_path / "configs.json",
+        [Configuration.of("L0", [Z, F(1), F(2), I]), Configuration.of("L0", [Z, Z, F(1), F(5)])],
     )
-    assert code == 0
-    assert stdout == ""
-    assert json.loads(out_path.read_text())["totals"]["all"] == 81
+    calls = [
+        ("stability", "--genus", "2", "--dbeta", "1", "--dgamma", "1"),
+        ("census", "--genus", "2"),
+        ("git-classify", "--genus", "2", "--input", configs),
+        ("local-model-verify", "--truncation", "4", "--cases", "2"),
+    ]
+    assert {argv[0] for argv in calls} == set(cli._COMMANDS)
+    out_path = tmp_path / "report"
+    for argv in calls:
+        for fmt in ("json", "csv"):
+            code, printed, err = run(capsys, *argv, "--format", fmt)
+            assert code == 0 and err == "" and printed, (argv, fmt)
+            code, stdout, err = run(capsys, *argv, "--format", fmt, "--output", str(out_path))
+            assert code == 0 and stdout == "" and err == "", (argv, fmt)
+            assert out_path.read_bytes() == printed.encode("utf-8"), (argv, fmt)
+
+
+# argv a handler refuses with exit 1; "{input}" is an empty configuration file
+REFUSED = {
+    "stability-1": ("stability", "--genus", "1", "--dbeta", "0", "--dgamma", "0"),
+    "stability-101": ("stability", "--genus", "101", "--dbeta", "0", "--dgamma", "0"),
+    "census-1": ("census", "--genus", "1"),
+    "census-101": ("census", "--genus", "101"),
+    "git-classify-1": ("git-classify", "--genus", "1", "--input", "{input}"),
+    "git-classify-101": ("git-classify", "--genus", "101", "--input", "{input}"),
+    "git-classify-missing-input": ("git-classify", "--genus", "2", "--input", "{input}.absent"),
+    "local-model-verify-truncation-33": ("local-model-verify", "--truncation", "33"),
+    "local-model-verify-cases-0": ("local-model-verify", "--cases", "0"),
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_request_leaves_output_path_alone(tmp_path, capsys, argv):
+    configs = write_configs(tmp_path / "configs.json", [])
+    argv = [arg.format(input=configs) for arg in argv]
+    missing, existing = tmp_path / "missing.json", tmp_path / "existing.json"
+    existing.write_text("kept\n", encoding="utf-8")
+    for path in (missing, existing):
+        code, out, err = run(capsys, *argv, "--output", os.fspath(path))
+        assert code == cli.USAGE_ERROR and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not missing.exists()
+    assert existing.read_text(encoding="utf-8") == "kept\n"
