@@ -14,7 +14,11 @@ disagreement failed.  Output is byte-identical for identical flags and
 seed.  Every subcommand writes JSON, or CSV with "--format csv", and every
 report leaves through one sink (_write), to stdout or to the file --output
 names.  The sink opens that file only after every check has passed, so a
-refused request neither creates nor truncates it.
+refused request neither creates nor truncates it.  One writer (_json_text)
+gives every JSON report, the census's head and tail included, the layout of
+json.dumps(indent=2, sort_keys=True), byte for byte.  json.dumps itself runs
+its pure-Python encoder with indent set, and takes about twice as long on
+these reports.
 
 Each subcommand's flags are declared once, in its table in _COMMANDS.  An
 argv that is a subcommand name and "--flag value" pairs is read from that
@@ -37,6 +41,7 @@ import io
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import local_model
@@ -154,10 +159,10 @@ def _read_exact(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     the module docstring), or None for any other argv.  A value that does
     not start with "-", or is "-" and ASCII digits, is one that argparse
     reads as a value in every supported release, never as an option."""
-    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+    if not argv or argv[0] not in _FLAG_TABLES or len(argv) % 2 == 0:
         return None
-    flags = {flag.name: flag for flag in _COMMANDS[argv[0]].flags}
-    values = {"command": argv[0], **{flag.dest: flag.default for flag in flags.values()}}
+    flags, defaults, required = _FLAG_TABLES[argv[0]]
+    values = defaults.copy()
     given = set()
     for name, value in zip(argv[1::2], argv[2::2]):
         flag = flags.get(name)
@@ -174,7 +179,7 @@ def _read_exact(argv: Sequence[str]) -> Optional[argparse.Namespace]:
             return None
         values[flag.dest] = value
         given.add(name)
-    if any(flag.required and name not in given for name, flag in flags.items()):
+    if not required <= given:
         return None
     return argparse.Namespace(**values)
 
@@ -190,7 +195,59 @@ def _write(pieces: Iterable[str], output: Optional[str]) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\n", byte for byte, for
+    payloads of dicts with str keys, lists, str, int, True, False and None.
+    Any other value, a float, a tuple or a subclass of int, str, dict or list
+    included, raises TypeError, so nothing prints in another layout."""
+    pieces: list[str] = []
+    _json_pieces(payload, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _json_pieces(value: object, newline: str, put: Callable[[str], None]) -> None:
+    # newline is the line break and indent of the value's own line; True,
+    # False and None are tested by identity, as 1.0 == True, 1 == True and
+    # 0 == False would make a lookup print those numbers as true or false
+    cls = value.__class__
+    if cls is str:
+        put(encode_basestring_ascii(value))
+    elif cls is int:
+        put(int.__repr__(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif cls is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if key.__class__ is not str:
+                raise TypeError(f"JSON report keys must be str, not {key.__class__.__name__}")
+            put(separator)
+            put(encode_basestring_ascii(key))
+            put(": ")
+            _json_pieces(value[key], inner, put)
+            separator = "," + inner
+        put(newline + "}")
+    elif cls is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            put(separator)
+            _json_pieces(item, inner, put)
+            separator = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"a JSON report holds no {cls.__name__}")
 
 
 def _csv_text(columns: Sequence[str], records: Iterable[dict], comments: Iterable[str]) -> str:
@@ -384,6 +441,29 @@ def _load_configurations(path: str, expected_slots: int) -> list[Configuration]:
     return configs
 
 
+def _witness_fault(c: Configuration, lin: Linearization, witness, stable: bool) -> Optional[str]:
+    """What keeps a witness (r, m) from its definition at c, or None: m is
+    balanced, sum(m) = N*r*n, with 0 <= m_j <= N*r, N*r at every [0:1] slot
+    and 0 at every [1:0] slot (nonvanishing at c), and, for a stable witness,
+    some interior exponent 0 < m_j < N*r."""
+    power, exponents = witness
+    cap = lin.N * power
+    if len(exponents) != lin.N:
+        return f"it has {len(exponents)} exponents for {lin.N} slots"
+    if sum(exponents) != cap * lin.n:
+        return f"its exponents do not sum to N*r*n = {cap * lin.n}"
+    for j, (point, m) in enumerate(zip(c.points, exponents)):
+        if not 0 <= m <= cap:
+            return f"exponent {m} at slot {j} is outside [0, {cap}]"
+        if point.is_zero() and m != cap:
+            return f"exponent {m} at the [0:1] slot {j} is not N*r = {cap}"
+        if point.is_infinity() and m != 0:
+            return f"exponent {m} at the [1:0] slot {j} is not 0"
+    if stable and all(m in (0, cap) for m in exponents):
+        return "it has no interior exponent"
+    return None
+
+
 def _witness_json(witness) -> Optional[dict]:
     if witness is None:
         return None
@@ -407,6 +487,15 @@ def _cmd_git_classify(args: argparse.Namespace) -> int:
     for k, c in enumerate(configs):
         closed = classify_closed_form(c, lin)
         outcome = bruteforce_search(c, lin, args.rmax)
+        for kind, witness in (("semistable", outcome.semistable_witness),
+                              ("stable", outcome.stable_witness)):
+            if witness is None:
+                continue
+            fault = _witness_fault(c, lin, witness, kind == "stable")
+            if fault is not None:
+                sys.stderr.write(f"error: {args.input}[{k}]: the {kind} witness fails "
+                                 f"its definition: {fault}\n")
+                return CHECK_FAILURE
         agree = closed is outcome.git_class
         all_agree = all_agree and agree
         if closed is GitClass.UNSTABLE:
@@ -497,6 +586,18 @@ _COMMANDS = {
         ),
         _cmd_local_verify,
     ),
+}
+
+# what _read_exact reads of each table, derived from it once: its flags by
+# name, the namespace before any flag is read (in argparse's attribute
+# order) and the names of its required flags
+_FLAG_TABLES = {
+    name: (
+        {flag.name: flag for flag in command.flags},
+        {"command": name, **{flag.dest: flag.default for flag in command.flags}},
+        {flag.name for flag in command.flags if flag.required},
+    )
+    for name, command in _COMMANDS.items()
 }
 
 

@@ -20,9 +20,10 @@ All slot indices are 0-based.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvalidScaleError, LengthMismatchError, NotOnBoundaryError
 from .exact import Scalar

@@ -91,6 +91,15 @@ def _scalar(a: int, b: int, d: int) -> "Scalar":
     return s
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, "p" or "p/q" in lowest terms; like
+    str(int), it raises ValueError past the int_max_str_digits limit."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"{n // g}/{d // g}"
+
+
 # the README grammar, "p/q", "p/q+r/s*sqrt2", "p/q-r/s*sqrt2" and
 # "r/s*sqrt2", integers allowed, one group per integer; r carries the sign
 # between the two parts, which it must have when p is there
@@ -232,11 +241,11 @@ class Scalar:
         return Scalar.of(other) * self.inverse()
 
     def __str__(self) -> str:
-        if not self._b:
-            return str(self.a)
-        b = self.b
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio_text(a, d)
         sign = "-" if b < 0 else "+"
-        return f"{self.a}{sign}{abs(b)}*sqrt2"
+        return f"{_ratio_text(a, d)}{sign}{_ratio_text(abs(b), d)}*sqrt2"
 
     def __repr__(self) -> str:
         return f"Scalar({str(self)!r})"

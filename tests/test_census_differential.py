@@ -132,12 +132,17 @@ def test_census_cli_is_byte_identical_to_reference(tables):
 @pytest.mark.parametrize("g, d", [(2, 0), (2, 1), (3, -4), (30, 29), (100, 0)])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_census_output_file_is_byte_identical_to_reference(tmp_path, g, d, fmt):
+    # against the digest of the reference emission, as the grid is, and at
+    # the genera in LIVE_GENERA against the live reference too
     path = tmp_path / f"census.{fmt}"
     code, out, err = run_census(g, d, fmt, "--output", os.fspath(path))
     assert code == 0 and out == ""
-    expected_out, expected_err = reference.emission(reference.census(ModuliParams(g, d)), fmt)
-    assert err == expected_err
-    assert path.read_bytes() == expected_out.encode("utf-8")
+    written = path.read_bytes()
+    assert reference.digest(written.decode("utf-8"), err) == digests()[str(g), str(d), fmt]
+    if g in LIVE_GENERA:
+        expected_out, expected_err = reference.emission(reference.census(ModuliParams(g, d)), fmt)
+        assert err == expected_err
+        assert written == expected_out.encode("utf-8")
 
 
 # streaming

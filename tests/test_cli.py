@@ -5,6 +5,8 @@ interpreter itself matters (python -O, python -m, a hard timeout).
 """
 
 import contextlib
+import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -486,6 +488,47 @@ def test_git_classify_disagreement_exits_two(tmp_path, capsys, monkeypatch):
     assert payload["configurations"][0]["agreement"] is False
 
 
+def _with_witness(outcome, kind, change):
+    """outcome with the exponents of its kind witness rewritten by change."""
+    field = f"{kind}_witness"
+    power, exponents = getattr(outcome, field)
+    return dataclasses.replace(outcome, **{field: (power, tuple(change(list(exponents))))})
+
+
+def _shifted(exponents, frm, to):
+    exponents[frm] -= 1
+    exponents[to] += 1
+    return exponents
+
+
+# faults in the witnesses of ([0:1], [1:1], [2:1], [1:0]) at genus 2 and
+# degree 0 (N*r = 4, n = 2): semistable (4, 0, 4, 0), stable (4, 1, 3, 0)
+WITNESS_FAULTS = {
+    "sum": ("stable", lambda m: [m[0], m[1] + 1, m[2], m[3]],
+            "its exponents do not sum to N*r*n = 8"),
+    "zero-slot": ("semistable", lambda m: _shifted(m, 0, 1),
+                  "exponent 3 at the [0:1] slot 0 is not N*r = 4"),
+    "inf-slot": ("stable", lambda m: _shifted(m, 2, 3),
+                 "exponent 1 at the [1:0] slot 3 is not 0"),
+    "range": ("stable", lambda m: [m[0], m[1] - 2, m[2] + 2, m[3]],
+              "exponent -1 at slot 1 is outside [0, 4]"),
+    "no-interior": ("stable", lambda m: [4, 0, 4, 0], "it has no interior exponent"),
+}
+
+
+@pytest.mark.parametrize("kind, change, message", list(WITNESS_FAULTS.values()),
+                         ids=list(WITNESS_FAULTS))
+def test_git_classify_witness_off_its_definition_exits_two(tmp_path, capsys, monkeypatch,
+                                                             kind, change, message):
+    path = write_configs(tmp_path / "c.json", [Configuration.of("L0", [Z, F(1), F(2), I])])
+    search = cli.bruteforce_search
+    monkeypatch.setattr(cli, "bruteforce_search",
+                        lambda c, lin, r_max: _with_witness(search(c, lin, r_max), kind, change))
+    code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}[0]: the {kind} witness fails its definition: {message}\n"
+
+
 # local-model-verify
 
 
@@ -814,3 +857,114 @@ def test_refused_request_leaves_output_path_alone(tmp_path, capsys, argv):
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not missing.exists()
     assert existing.read_text(encoding="utf-8") == "kept\n"
+
+
+# the JSON writer
+
+
+def dumps_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def text_or_error(write, payload):
+    try:
+        return write(payload)
+    except ValueError as exc:  # an int past the int_max_str_digits limit
+        return ValueError, str(exc)
+
+
+# labels as a configuration file can hold them: any code point, lone
+# surrogates included, and the characters JSON escapes
+labels = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ud800\udfff\ufeff\U0001d11e'),
+    max_size=8,
+)
+# 4,299 to 4,301 digits, both signs: past 4,300, int.__repr__ raises for both writers
+near_limit = st.builds(
+    lambda n, rest, sign: sign * (10 ** (n - 1) + rest % 10 ** (n - 1)),
+    st.integers(4299, 4301), st.integers(0, 2**14300), st.sampled_from((1, -1)),
+)
+# mostly small, so a payload rarely holds an int past the limit
+report_ints = st.one_of(st.integers(), st.integers(-99, 99), st.integers(0, 10**6), near_limit)
+config_payloads = st.fixed_dictionaries({
+    "base": labels,
+    "points": st.lists(st.sampled_from(["zero", "inf"]) | st.fixed_dictionaries({"t": labels}),
+                       max_size=5),
+})
+witness_payloads = st.none() | st.fixed_dictionaries(
+    {"power": report_ints, "exponents": st.lists(report_ints, max_size=5)}
+)
+
+
+def payload_of(command, **fields):
+    return st.fixed_dictionaries({"command": st.just(command), **fields})
+
+
+report_payloads = st.one_of(
+    payload_of(
+        "stability",
+        **dict.fromkeys(["genus", "degree", "slots", "d_beta", "d_gamma", "d_rest",
+                         "gamma_bound", "beta_bound"], report_ints),
+        inequalities=st.lists(st.fixed_dictionaries(
+            {"comparison": labels, "values": labels, "holds": st.booleans()}), max_size=4),
+        stability=labels,
+        stratum_dimension=st.none() | report_ints,
+        split_degrees=st.none() | st.lists(report_ints, max_size=2),
+    ),
+    payload_of(
+        "git-classify",
+        **dict.fromkeys(["genus", "degree", "slots", "weight_parameter", "r_max"], report_ints),
+        all_agree=st.booleans(),
+        configurations=st.lists(st.fixed_dictionaries({
+            "index": report_ints,
+            "input": config_payloads,
+            "closed_form": labels,
+            "brute_force": labels,
+            "agreement": st.booleans(),
+            "fixed_point": st.booleans(),
+            "monomials_enumerated": report_ints,
+            "semistable_witness": witness_payloads,
+            "stable_witness": witness_payloads,
+            "representative": st.none() | config_payloads,
+        }), max_size=3),
+    ),
+    payload_of(
+        "local-model-verify",
+        **dict.fromkeys(["cases", "order", "seed"], report_ints),
+        all_passed=st.booleans(),
+        checks=st.lists(st.fixed_dictionaries(
+            {"name": labels, "passed": st.booleans(), "detail": labels}), max_size=4),
+    ),
+    # the census head, and its tail, whose totals are keyed by class name
+    payload_of("census", degree=report_ints, genus=report_ints),
+    st.fixed_dictionaries({"slots": report_ints,
+                           "totals": st.dictionaries(labels, report_ints, max_size=5)}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_payloads)
+def test_json_writer_matches_json_dumps(payload):
+    assert text_or_error(cli._json_text, payload) == text_or_error(dumps_text, payload)
+
+
+class IntSubclass(int):
+    pass
+
+
+class Kind(enum.IntEnum):
+    ONE = 1
+
+
+# json.dumps prints each of these (a bool subclass cannot be made, so the
+# int subclasses stand for it); the writer refuses them, so no value prints
+# in a layout nothing checks, and 1.0 is never looked up as true
+@pytest.mark.parametrize("value", [
+    1.0, 0.0, float("nan"), (1, 2), (), IntSubclass(1), Kind.ONE, {1: "a"}, {True: "a"},
+    {None: 0}, {"a": [1.0]}, [{"b": ("c",)}], {"a": {"b": {2: 3}}},
+])
+def test_json_writer_refuses_values_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_text({"value": value})
+    with pytest.raises(TypeError):
+        cli._json_text([value])

@@ -99,6 +99,7 @@ def assert_same_mat(new, old):
 @given(scalar_pairs(), scalar_pairs())
 def test_scalar_ops_match_reference(x, y):
     (xn, xo), (yn, yo) = x, y
+    assert str(xn) == str(xo)
     assert_same_scalar(xn, xo)
     assert_same_scalar(xn + yn, xo + yo)
     assert_same_scalar(xn - yn, xo - yo)
@@ -139,6 +140,36 @@ def test_scalar_of_an_int_matches_the_fraction_route(n, m):
         sys.set_int_max_str_digits(limit)
     assert exact.Scalar.of(True) == exact.Scalar.one()
     assert _triple(exact.Scalar.of(True)) == (1, 0, 1)
+
+
+def _text_or_error(x):
+    try:
+        return str(x)
+    except ValueError as exc:  # a part past the int_max_str_digits limit
+        return ValueError, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_big_ints(), _big_ints(), st.integers(1, 10**6))
+def test_scalar_text_matches_reference_on_big_ints(p, r, unit):
+    # the first scalar has big denominators too; the second and third hold
+    # an integer part over a common denominator that can exceed 1, which
+    # prints as "p", not "p/1"
+    parts = [
+        (Fraction(p, abs(r)), Fraction(r, abs(p))),
+        (Fraction(p * unit), Fraction(r, unit)),
+        (Fraction(p, unit), Fraction(r)),
+    ]
+    pairs = [(exact.Scalar(a, b), ref.Scalar(a, b)) for a, b in parts]
+    for new, old in pairs:
+        assert _text_or_error(new) == _text_or_error(old)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for new, old in pairs:
+            assert str(new) == str(old) and repr(new) == repr(old)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(scalar_pairs())
