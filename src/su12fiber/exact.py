@@ -16,9 +16,15 @@ comparison of triples.  The Fraction components Scalar.a and Scalar.b,
 and the Scalar coefficients TruncatedSeries.coeffs and series[k], are
 read-only views built on demand.
 
-Series are coefficient vectors of fixed length T; all ring operations stay
-at one order and refuse to mix orders.  A series is a unit iff its constant
-term is nonzero.
+Series are coefficient vectors of fixed length T.  A series is a unit iff
+its constant term is nonzero.
+
+Values convert where they enter: Scalar(a, b), Scalar.of, from_ratios and
+parse make scalars of ints, Fractions and literals, and
+TruncatedSeries.constant, monomial and from_ratios make series.
+Arithmetic then takes one operand kind: a Scalar operator takes a Scalar,
+and a series operator a series of its own order.  Any other operand raises
+TypeError, and a series of another order OrderMismatchError.
 
 Values are immutable and in lowest terms, so an operation whose result is
 one of its operands may return that operand: a sum with the zero series,
@@ -71,11 +77,6 @@ def _as_fraction(x: Union[int, Fraction]) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-def _operand(x: object) -> "Scalar | None":
-    """x as a Scalar if it is a ScalarLike, else None."""
-    return Scalar.of(x) if isinstance(x, (Scalar, int, Fraction)) else None
 
 
 def _scalar(a: int, b: int, d: int) -> "Scalar":
@@ -189,42 +190,26 @@ class Scalar:
     def __hash__(self) -> int:
         return hash((self.a, self.b))
 
-    # the binary operations return NotImplemented for an operand that is
-    # not a ScalarLike, so that a series on the other side can take over
-
-    def __add__(self, other: ScalarLike) -> "Scalar":
-        o = other if other.__class__ is Scalar else _operand(other)
-        if o is None:
+    def __add__(self, o: "Scalar") -> "Scalar":
+        if o.__class__ is not Scalar:
             return NotImplemented
         d, e = self._d, o._d
         return _scalar(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Scalar":
         return _scalar(-self._a, -self._b, self._d)
 
-    def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = other if other.__class__ is Scalar else _operand(other)
-        if o is None:
+    def __sub__(self, o: "Scalar") -> "Scalar":
+        if o.__class__ is not Scalar:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: ScalarLike) -> "Scalar":
-        o = _operand(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = other if other.__class__ is Scalar else _operand(other)
-        if o is None:
+    def __mul__(self, o: "Scalar") -> "Scalar":
+        if o.__class__ is not Scalar:
             return NotImplemented
         a, b, c, e = self._a, self._b, o._a, o._b
         # (a + b s)(c + e s) = ac + 2be + (ae + bc) s  with s^2 = 2
         return _scalar(a * c + 2 * b * e, a * e + b * c, self._d * o._d)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         a, b = self._a, self._b
@@ -234,11 +219,10 @@ class Scalar:
         # d / (a + b s) = d (a - b s) / (a^2 - 2 b^2)
         return _scalar(self._d * a, -self._d * b, norm)
 
-    def __truediv__(self, other: ScalarLike) -> "Scalar":
-        return self * Scalar.of(other).inverse()
-
-    def __rtruediv__(self, other: ScalarLike) -> "Scalar":
-        return Scalar.of(other) * self.inverse()
+    def __truediv__(self, o: "Scalar") -> "Scalar":
+        if o.__class__ is not Scalar:
+            return NotImplemented
+        return self * o.inverse()
 
     def __str__(self) -> str:
         a, b, d = self._a, self._b, self._d
@@ -350,6 +334,10 @@ def _kronecker_product(s: "TruncatedSeries", o: "TruncatedSeries") -> "Truncated
     return _series(parts[0], parts[1], s._d * o._d)
 
 
+def _order_mismatch(s: "TruncatedSeries", o: "TruncatedSeries") -> OrderMismatchError:
+    return OrderMismatchError(f"truncation orders differ: {s.order} vs {o.order}")
+
+
 class TruncatedSeries:
     """Element of Q(sqrt2)[[zeta]] / zeta^T as a coefficient vector of length T.
 
@@ -439,18 +427,6 @@ class TruncatedSeries:
 
     # ring operations
 
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
-
-    def _coerce(self, other: Union["TruncatedSeries", ScalarLike]) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            self._check_order(other)
-            return other
-        return TruncatedSeries.constant(Scalar.of(other), self.order)
-
     def _plus(self, o: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         """self + sign * o over the least common denominator."""
         # the zero series has d == 1, which rules most operands out at once
@@ -466,30 +442,29 @@ class TruncatedSeries:
             self._d * f,
         )
 
-    def __add__(self, other) -> "TruncatedSeries":
-        if other.__class__ is TruncatedSeries and len(other._a) == len(self._a):
-            return self._plus(other, 1)
-        return self._plus(self._coerce(other), 1)
-
-    __radd__ = __add__
+    def __add__(self, o: "TruncatedSeries") -> "TruncatedSeries":
+        if o.__class__ is not TruncatedSeries:
+            return NotImplemented
+        if len(o._a) != len(self._a):
+            raise _order_mismatch(self, o)
+        return self._plus(o, 1)
 
     def __neg__(self) -> "TruncatedSeries":
         return _series([-x for x in self._a], [-y for y in self._b], self._d)
 
-    def __sub__(self, other) -> "TruncatedSeries":
-        if other.__class__ is TruncatedSeries and len(other._a) == len(self._a):
-            return self._plus(other, -1)
-        return self._plus(self._coerce(other), -1)
+    def __sub__(self, o: "TruncatedSeries") -> "TruncatedSeries":
+        if o.__class__ is not TruncatedSeries:
+            return NotImplemented
+        if len(o._a) != len(self._a):
+            raise _order_mismatch(self, o)
+        return self._plus(o, -1)
 
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "TruncatedSeries":
+    def __mul__(self, o: "TruncatedSeries") -> "TruncatedSeries":
+        if o.__class__ is not TruncatedSeries:
+            return NotImplemented
         s = self
-        if other.__class__ is TruncatedSeries and len(other._a) == len(s._a):
-            o = other
-        else:
-            o = s._coerce(other)
+        if len(o._a) != len(s._a):
+            raise _order_mismatch(s, o)
         # the loop skips zeros of its outer operand: make that the sparser one
         zeros, zo = s._a.count(0) + s._b.count(0), o._a.count(0) + o._b.count(0)
         if zo > zeros:
@@ -529,8 +504,6 @@ class TruncatedSeries:
                     A[k] += x * p
                     B[k] += x * q
         return _series(A, B, s._d * o._d)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; defined iff the constant term is nonzero."""
@@ -593,7 +566,8 @@ def product_coeff(s: TruncatedSeries, o: TruncatedSeries, k: int) -> Scalar:
     """(s * o)[k] for series of one order, from the first k + 1 coefficients of
     each: with s = (a + b*sqrt2)/d and o = (u + v*sqrt2)/e, the dot products
     of a[k::-1] and b[k::-1] with u and v, over d*e."""
-    s._check_order(o)
+    if len(o._a) != len(s._a):
+        raise _order_mismatch(s, o)
     if not 0 <= k < len(s._a):
         raise ValueError(f"exponent {k} out of range for order {len(s._a)}")
     a, b, u, v = s._a[k::-1], s._b[k::-1], o._a, o._b

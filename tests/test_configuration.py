@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -197,7 +198,7 @@ def test_classifiers_invariant_under_action():
 
 
 def test_json_round_trip():
-    c = cfg(Z, F(Scalar(1, 1) / 3), I, F(-2))
+    c = cfg(Z, F(Scalar(Fraction(1, 3), Fraction(1, 3))), I, F(-2))
     data = config_to_json(c)
     assert json.loads(json.dumps(data)) == data
     assert config_from_json(data) == c

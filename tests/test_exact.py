@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,31 @@ def test_scalar_parse_forms():
             Scalar.parse(text)
 
 
+# values convert where they enter, and arithmetic takes one operand kind
+
+FOREIGN_OPERANDS = (2, Fraction(1, 2), True)
+
+
+def test_scalar_arithmetic_takes_only_scalars():
+    x = Scalar(Fraction(1, 2), Fraction(1, 3))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for other in FOREIGN_OPERANDS:
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
+
+def test_series_arithmetic_takes_only_series():
+    x = series_from_coeffs([Scalar(1, 1), Scalar.of(2)], 3)
+    for op in (operator.add, operator.sub, operator.mul):
+        for other in (*FOREIGN_OPERANDS, Scalar(1, 1)):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+
+
 # truncated series
 
 
@@ -170,10 +196,11 @@ def test_series_unit_detection():
 
 
 def test_order_mismatch_raises():
-    with pytest.raises(OrderMismatchError):
-        TruncatedSeries.one(3) + TruncatedSeries.one(4)
-    with pytest.raises(OrderMismatchError):
-        TruncatedSeries.one(3) * TruncatedSeries.one(4)
+    x, y = TruncatedSeries.one(3), TruncatedSeries.zeta(4)
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((x, y), (y, x)):
+            with pytest.raises(OrderMismatchError):
+                op(left, right)
 
 
 @given(series(), series(), series())

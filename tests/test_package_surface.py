@@ -13,7 +13,10 @@ The guards read the source with ast and import nothing:
 * every name a module of src/su12fiber or tests/ imports is read in it,
   or listed in its __all__ (``from __future__`` imports aside);
 * every method and property of a package class has its name read by some
-  attribute access in the package outside its own definition.
+  attribute access in the package outside its own definition;
+* no package class defines a reflected operator (``__radd__`` and the
+  like) or binds a dunder to another of its names (``__radd__ = __add__``):
+  values convert where they enter, so each operator takes one operand kind.
 """
 
 import ast
@@ -305,4 +308,53 @@ def test_every_method_is_read_by_name():
         "methods no attribute access in the package reads (move test-only "
         f"code to tests/): {sorted(unread - set(UNREAD_METHODS_ALLOWED))}; "
         f"allowed but now read or gone: {sorted(set(UNREAD_METHODS_ALLOWED) - unread)}"
+    )
+
+
+# reflected operators and operator aliases
+
+# the reflected form of each binary operator: __radd__, __rsub__, ...
+REFLECTED_OPERATORS = {
+    f"__r{name}__"
+    for name in "add sub mul matmul truediv floordiv mod divmod pow lshift rshift and xor or".split()
+}
+
+# (module, class.name) -> why the class keeps a reflected operator or an alias
+OPERATOR_ROUTES_ALLOWED: dict[tuple[str, str], str] = {}
+
+
+def _operator_routes(cls: ast.ClassDef) -> list[str]:
+    """Reflected operators a class body defines, and dunders it binds to
+    another name of the class, such as ``__radd__ = __add__``."""
+    names = []
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            bound, alias = [stmt.name], False
+        elif isinstance(stmt, ast.Assign):
+            bound = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            alias = isinstance(stmt.value, ast.Name)
+        else:
+            continue
+        for name in bound:
+            dunder = name.startswith("__") and name.endswith("__")
+            if name in REFLECTED_OPERATORS or (dunder and alias):
+                names.append(name)
+    return names
+
+
+def test_no_reflected_operator_or_operator_alias():
+    """Values convert where they enter the package, so each operator takes
+    one operand kind and needs no reflected twin.  The method gate above
+    skips dunders, so this one names them."""
+    found = {
+        (module, f"{cls.name}.{name}")
+        for module, tree in _modules().items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name in _operator_routes(cls)
+    }
+    assert found == set(OPERATOR_ROUTES_ALLOWED), (
+        "reflected operators or operator aliases (convert operands where they "
+        f"enter instead): {sorted(found - set(OPERATOR_ROUTES_ALLOWED))}; "
+        f"allowed but now gone: {sorted(set(OPERATOR_ROUTES_ALLOWED) - found)}"
     )
