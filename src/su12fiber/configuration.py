@@ -116,9 +116,14 @@ class MarkData:
 
 
 def mark_data(c: Configuration) -> MarkData:
-    zeros = frozenset(j for j, p in enumerate(c.points) if p.is_zero())
-    infs = frozenset(j for j, p in enumerate(c.points) if p.is_infinity())
-    return MarkData(zeros, infs)
+    zeros, infs = [], []
+    for j, p in enumerate(c.points):
+        kind = p.kind
+        if kind is PointKind.ZERO:
+            zeros.append(j)
+        elif kind is PointKind.INFINITY:
+            infs.append(j)
+    return MarkData(frozenset(zeros), frozenset(infs))
 
 
 def act(scale, c: Configuration) -> Configuration:
@@ -173,10 +178,10 @@ def point_to_json(p: FiberPoint) -> PointJson:
 
 def point_from_json(data: PointJson) -> FiberPoint:
     if data == "zero":
-        return FiberPoint.zero()
+        return _ZERO_POINT
     if data == "inf":
-        return FiberPoint.infinity()
-    if isinstance(data, Mapping) and set(data) == {"t"}:
+        return _INF_POINT
+    if isinstance(data, Mapping) and len(data) == 1 and "t" in data:
         return FiberPoint.finite(Scalar.parse(data["t"]))
     raise ValueError(f"malformed fiber point: {data!r}")
 
@@ -186,7 +191,8 @@ def config_to_json(c: Configuration) -> dict:
 
 
 def config_from_json(data: Mapping) -> Configuration:
-    if not isinstance(data, Mapping) or set(data) != {"base", "points"}:
+    if not (isinstance(data, Mapping) and len(data) == 2 and "base" in data
+            and "points" in data):
         raise ValueError(f"malformed configuration: {data!r}")
     base = data["base"]
     if not isinstance(base, str):

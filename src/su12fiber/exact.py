@@ -255,7 +255,8 @@ class Scalar:
         if m is None:
             raise ValueError(f"malformed scalar literal: {text!r}")
         # an absent numerator reads 0 and an absent denominator 1
-        p, q, r, s = (int(m[k] or default) for k, default in zip("pqrs", "0101"))
+        p, q, r, s = m.group("p", "q", "r", "s")
+        p, q, r, s = int(p or 0), int(q or 1), int(r or 0), int(s or 1)
         if not q or not s:
             raise ValueError(f"zero denominator in scalar literal: {text!r}")
         return Scalar.from_ratios(p, q, r, s)

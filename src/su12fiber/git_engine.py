@@ -46,7 +46,7 @@ from enum import Enum
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .configuration import Configuration, act, mark_data, saturate_limit
+from .configuration import Configuration, PointKind, act, mark_data, saturate_limit
 from .errors import LengthMismatchError
 from .stability import ModuliParams
 
@@ -232,9 +232,16 @@ def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> B
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     cap = lin.N
-    m = [cap if p.is_zero() else 0 for p in c.points]
-    free_slots = [j for j, p in enumerate(c.points) if p.is_finite()]
-    k = lin.n - sum(1 for p in c.points if p.is_zero())
+    m = [0] * cap
+    free_slots = []
+    k = lin.n
+    for j, p in enumerate(c.points):
+        kind = p.kind
+        if kind is PointKind.ZERO:
+            m[j] = cap
+            k -= 1
+        elif kind is PointKind.FINITE:
+            free_slots.append(j)
     cls = GitClass.UNSTABLE
     semistable_witness: Optional[tuple[int, MonomialIndex]] = None
     stable_witness: Optional[tuple[int, MonomialIndex]] = None

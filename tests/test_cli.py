@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import input_reference
 import make_cli_digests
 from su12fiber import cli, git_engine
 from su12fiber.configuration import (
@@ -244,6 +245,19 @@ def test_git_classify_rejects_bad_json(tmp_path, capsys):
         code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", str(path))
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
+def test_git_classify_reads_its_file_as_text_mode_json_load_did(tmp_path, capsys):
+    # the file is read in one binary read with text mode's decoding and
+    # newlines: each input gives the exit code and the whole error line of
+    # open(path, encoding="utf-8") and json.load
+    for path in input_reference.reading_cases(tmp_path):
+        expected = input_reference.text_mode_error(path)
+        code, out, err = run(capsys, "git-classify", "--genus", "2", "--input", path)
+        if expected is None:
+            assert (code, err) == (0, ""), path
+        else:
+            assert (code, out, err) == (1, "", expected)
 
 
 def test_git_classify_reads_a_duplicate_key_as_its_last_value(tmp_path, capsys):

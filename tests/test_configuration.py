@@ -1,7 +1,9 @@
 import itertools
 import json
 import random
+from collections import OrderedDict
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -20,6 +22,7 @@ from su12fiber.exact import Scalar
 from su12fiber.git_engine import GitClass, Linearization, classify_closed_form
 from su12fiber.stability import ModuliParams
 
+import input_reference
 from paper_reference import Label, NoChartError, affine_chart, orbit_equivalent, stratum_of
 
 G2D0 = ModuliParams(2, 0)
@@ -220,3 +223,60 @@ def test_json_malformed():
         config_from_json({"points": ["zero"]})
     with pytest.raises(ValueError):
         config_from_json({"base": 3, "points": []})
+
+
+class _Str(str):
+    """A str subclass: equal to, and hashed as, the str it holds."""
+
+
+_POINT = {"t": "-2+1/2*sqrt2"}
+_POINTS = ["zero", {"t": "1/3"}, "inf"]
+
+POINT_INPUTS = [
+    "zero", "inf", _Str("zero"), _Str("inf"), "infty", "", None, 0, ["zero"],
+    {"t": "1/3"}, OrderedDict(_POINT), MappingProxyType(_POINT), {_Str("t"): "2"},
+    {"t": "0"}, {"t": 5}, {"t": None}, {"t": "1", "u": "2"}, {}, MappingProxyType({}),
+    {1: "1"}, {None: "1"}, {"T": "1"}, OrderedDict(t="1", s="2"),
+]
+
+CONFIG_INPUTS = [
+    {"base": "L", "points": _POINTS},
+    {"base": "L", "points": tuple(_POINTS)},
+    {"base": "L", "points": "zero"},
+    {"base": "L", "points": {"t": "1"}},
+    {"base": "L", "points": []},
+    {"base": _Str("L"), "points": _POINTS},
+    OrderedDict(points=_POINTS, base="L"),
+    MappingProxyType({"base": "L", "points": _POINTS}),
+    {_Str("base"): "L", _Str("points"): _POINTS},
+    {"base": "L", "points": _POINTS, "extra": 1},
+    {"base": "L"},
+    {"points": _POINTS},
+    {},
+    {"base": "L", 1: _POINTS},
+    {1: "L", 2: _POINTS},
+    {"base": 3, "points": _POINTS},
+    {"base": None, "points": _POINTS},
+    {"base": "L", "points": ["zero", {"t": 5}]},
+    {"base": "L", "points": ["zero", MappingProxyType(_POINT), _Str("inf")]},
+    [("base", "L"), ("points", _POINTS)],
+    "base",
+    None,
+]
+
+
+def _parsed(parse, data):
+    try:
+        return parse(data)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("data", POINT_INPUTS, ids=repr)
+def test_point_from_json_parses_as_the_set_based_parser(data):
+    assert _parsed(point_from_json, data) == _parsed(input_reference.point_from_json, data)
+
+
+@pytest.mark.parametrize("data", CONFIG_INPUTS, ids=repr)
+def test_config_from_json_parses_as_the_set_based_parser(data):
+    assert _parsed(config_from_json, data) == _parsed(input_reference.config_from_json, data)

@@ -14,6 +14,9 @@ The guards read the source with ast and import nothing:
   or listed in its __all__ (``from __future__`` imports aside);
 * every method and property of a package class has its name read by some
   attribute access in the package outside its own definition;
+* the ``test`` extra of pyproject.toml names every module outside the
+  stdlib, the package and tests/ that a file under tests/ imports, and
+  each name in it is imported there;
 * no package class defines a reflected operator (``__radd__`` and the
   like) or binds a dunder to another of its names (``__radd__ = __add__``):
   values convert where they enter, so each operator takes one operand kind.
@@ -21,6 +24,7 @@ The guards read the source with ast and import nothing:
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,7 +59,7 @@ PINNED_IMPORTS = {
     "errors": {},
     "exact": {"errors": "NonUnitError OrderMismatchError"},
     "git_engine": {
-        "configuration": "Configuration act mark_data saturate_limit",
+        "configuration": "Configuration PointKind act mark_data saturate_limit",
         "errors": "LengthMismatchError",
         "stability": "ModuliParams",
     },
@@ -264,6 +268,45 @@ def test_every_import_is_read():
         if names:
             unused[str(path.relative_to(ROOT))] = sorted(names)
     assert unused == {}
+
+
+# the test extra
+
+
+def _test_extra() -> set[str]:
+    """Names in the ``test`` extra, read by splitting the text as _scripts
+    does (tomllib is 3.11+), with any version or marker cut off."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.optional-dependencies]", 1)[1].split("\n[", 1)[0]
+    listed = re.search(r"^test\s*=\s*\[(.*?)\]", section, re.M | re.S).group(1)
+    return {re.split(r"[^\w.-]", name, 1)[0] for name in re.findall(r'"([^"]+)"', listed)}
+
+
+def _modules_the_tests_import() -> set[str]:
+    """Top-level modules imported under tests/, pytest.importorskip included,
+    less the stdlib, the package and the modules of tests/ itself."""
+    paths = sorted((ROOT / "tests").rglob("*.py"))
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                found.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "importorskip"):
+                found.add(ast.literal_eval(node.args[0]).split(".")[0])
+    own = {path.stem for path in paths}
+    return found - set(sys.stdlib_module_names) - own - {"su12fiber"}
+
+
+def test_test_extra_names_what_the_tests_import():
+    # each distribution here is imported under its own name
+    extra = _test_extra()
+    imported = _modules_the_tests_import()
+    assert extra and imported
+    assert imported - extra == set(), "imported by tests/ but missing from the test extra"
+    assert extra - imported == set(), "in the test extra but imported nowhere under tests/"
 
 
 # methods
