@@ -45,6 +45,7 @@ import io
 import json
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -74,8 +75,8 @@ CHECK_FAILURE = 2
 
 # the largest requests accepted, refused before any work.  The genus bound
 # covers stability, census and git-classify alike: at genus 100 a census
-# writes about 24 MB of JSON or 13 MB of CSV in 0.3 to 0.4 s, one run at a
-# time, with a peak RSS of about 17 MB, under 1 MB over the import alone
+# writes about 24 MB of JSON or 13 MB of CSV in about 0.12 to 0.13 s, one run
+# at a time, with a peak RSS of about 17.5 MB, under 1 MB over the import alone
 # (interpreter start included), and git-classify spends at most about 3 s
 # on a stable configuration (its rank) and 0.7 to 0.9 s with --rmax 32 on
 # a file of non-stable ones, which share one count of 1,620 digits per
@@ -350,33 +351,51 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 # census
 
 
-# one census cell as json.dumps(indent=2, sort_keys=True) lays out an object
-# in the "rows" list of the payload; a run fills in d_beta, its class and
-# "%d" or null for the stratum dimension once, and each cell the rest
+# one census cell, cut at its four fields that change from cell to cell:
+# d_gamma, d_rest, labeled_count and stratum_dimension.  A run fills in
+# {d_beta} and {stability} once; a cell that is not stable has no stratum
+# dimension, null in JSON and an empty field in CSV.  The JSON cell is laid
+# out as json.dumps(indent=2, sort_keys=True) lays out an object in the
+# "rows" list of the payload
 _CENSUS_CELL_JSON = (
-    "    {\n"
-    '      "d_beta": %d,\n'
-    '      "d_gamma": %%d,\n'
-    '      "d_rest": %%d,\n'
-    '      "labeled_count": %%d,\n'
-    '      "stability": "%s",\n'
-    '      "stratum_dimension": %s\n'
-    "    }"
+    '    {{\n      "d_beta": {d_beta},\n      "d_gamma": ',
+    ',\n      "d_rest": ',
+    ',\n      "labeled_count": ',
+    ',\n      "stability": "{stability}",\n      "stratum_dimension": ',
+    "\n    }}",
 )
 # ints and fixed class names, none of which csv.writer would quote
-_CENSUS_CELL_CSV = "%d,%%d,%%d,%s,%%d,%s\n"
+_CENSUS_CELL_CSV = ("{d_beta},", ",", ",{stability},", ",", "\n")
 
 
-def _census_cells(template: str, run: CensusRun, dimension: str) -> Iterator[str]:
-    fields = (run.d_gamma, run.d_r, run.labeled_counts)
-    if run.stratum_dims is not None:
-        dimension, fields = "%d", (*fields, run.stratum_dims)
-    cell = template % (run.d_beta, run.stability.value, dimension)
-    # one % per cell keeps each string small and the join sizes the run's
-    # text once; one % over the whole run was a few percent faster, but its
-    # result buffer grows and shrinks through the C allocator and raised the
-    # benchmark's peak RSS by 2 to 6 MB
-    return map(cell.__mod__, zip(*fields))
+def _numerals(numerals: list[str], r: range) -> list[str]:
+    """numerals[k] for k in r, a range of step 1 or -1 that stops at -1 or later."""
+    return numerals[r.start:r.stop if r.stop >= 0 else None:r.step]
+
+
+def _census_cells(cell: tuple[str, ...], no_dimension: str, run: CensusRun,
+                  numerals: list[str]) -> Iterator[str]:
+    """The text of each cell of the run, one "".join of the cell's fixed
+    pieces and the decimal texts of its fields.  numerals holds str(k) for
+    every k up to g + N, which covers d_beta, d_gamma, d_r and the stratum
+    dimension g + d_r."""
+    head, after_gamma, after_rest, after_count, end = (
+        piece.format(d_beta=numerals[run.d_beta], stability=run.stability.value)
+        for piece in cell
+    )
+    fields = [repeat(head), _numerals(numerals, run.d_gamma), repeat(after_gamma),
+              _numerals(numerals, run.d_r), repeat(after_rest), run.labeled_texts]
+    if run.stratum_dims is None:
+        fields.append(repeat(after_count + no_dimension + end))
+    else:
+        fields += (repeat(after_count), _numerals(numerals, run.stratum_dims), repeat(end))
+    # every piece is text already, so a cell costs one join and converts
+    # nothing.  Each cell is its own small string and the caller's join sizes
+    # the run's text once: one % over the whole run raised the benchmark's
+    # peak RSS by 2 to 6 MB (BENCH_19.json).  A count's text is made once per
+    # row; the symmetry of all three labels would make each once per table,
+    # but hold about N^2/12 texts at once
+    return map("".join, zip(*fields))
 
 
 def _census_json(p: ModuliParams) -> Iterator[str]:
@@ -385,11 +404,12 @@ def _census_json(p: ModuliParams) -> Iterator[str]:
     # of each run, then the keys after "rows" without the opening brace
     head = _json_text({"command": "census", "degree": p.d, "genus": p.g})
     yield head[:-3] + ',\n  "rows": [\n'
+    numerals = list(map(str, range(p.g + p.N + 1)))
     totals = dict.fromkeys(StabilityClass, 0)
     separator = ""
     for run in census_runs(p):
         totals[run.stability] += sum(run.labeled_counts)
-        yield separator + ",\n".join(_census_cells(_CENSUS_CELL_JSON, run, "null"))
+        yield separator + ",\n".join(_census_cells(_CENSUS_CELL_JSON, "null", run, numerals))
         separator = ",\n"
     named = {cls.value: count for cls, count in totals.items()}
     tail = _json_text({"slots": p.N, "totals": {**named, "all": sum(totals.values())}})
@@ -398,10 +418,11 @@ def _census_json(p: ModuliParams) -> Iterator[str]:
 
 def _census_csv(p: ModuliParams) -> Iterator[str]:
     yield "d_beta,d_gamma,d_rest,stability,labeled_count,stratum_dimension\n"
+    numerals = list(map(str, range(p.g + p.N + 1)))
     totals = dict.fromkeys(StabilityClass, 0)
     for run in census_runs(p):
         totals[run.stability] += sum(run.labeled_counts)
-        yield "".join(_census_cells(_CENSUS_CELL_CSV, run, ""))
+        yield "".join(_census_cells(_CENSUS_CELL_CSV, "", run, numerals))
     yield "".join(f"# total {cls.value} {count}\n" for cls, count in totals.items())
     yield f"# total all {sum(totals.values())}\n"
 

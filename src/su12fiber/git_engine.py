@@ -47,7 +47,7 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .configuration import Configuration, PointKind, act, mark_data, saturate_limit
-from .errors import LengthMismatchError
+from .errors import InternalInconsistencyError, LengthMismatchError
 from .stability import ModuliParams
 
 
@@ -283,4 +283,8 @@ def s_equivalence_representative(c: Configuration, lin: Linearization) -> Config
     for point in c.points:
         if point.is_finite():
             return act(point.t.inverse(), c)
-    return c  # unreachable for stable configurations, kept total
+    # stable means n_zero < n and n_inf < N - n, so fewer than N slots are
+    # [0:1] or [1:0]
+    raise InternalInconsistencyError(
+        f"a stable configuration has a finite slot, and {c} has none"
+    )

@@ -131,13 +131,16 @@ class CensusRow(NamedTuple):
 
 class CensusRun(NamedTuple):
     """Consecutive cells of row d_beta, all of one class, field by field: cell k
-    has d_gamma[k], d_r[k], labeled_counts[k] and, if stable, stratum_dims[k]."""
+    has d_gamma[k], d_r[k], labeled_counts[k] and, if stable, stratum_dims[k].
+    labeled_texts[k] is str(labeled_counts[k]), the count in decimal, so a
+    writer converts no count itself."""
 
     d_beta: int
     d_gamma: range
     d_r: range
     stability: StabilityClass
     labeled_counts: list[int]
+    labeled_texts: list[str]
     stratum_dims: range | None
 
 
@@ -176,7 +179,8 @@ def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
     row, count(d_gamma + 1) = count(d_gamma) * d_r // (d_gamma + 1), where d_r
     belongs to the cell at d_gamma.  Both divisions are exact.  The row is a
     palindrome, count(d_gamma) = count(N - d_beta - d_gamma), so the
-    recurrence runs over its first half only and the second half mirrors it.
+    recurrence runs over its first half only and the second half mirrors it;
+    so does each count's decimal text, converted once per half row.
 
     `classify_counts` sees d_gamma only through comparisons with
     gamma_bound, so a row is at most three runs: its nonempty ranges among
@@ -198,6 +202,8 @@ def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
             count = count * (width - d_gamma) // d_gamma
             half.append(count)
         row = half + half[-1 - width % 2::-1]
+        half_texts = list(map(str, half))
+        texts = half_texts + half_texts[-1 - width % 2::-1]
         cut, cut_after = (min(max(b, 0), width) for b in (p.gamma_bound, p.gamma_bound + 1))
         for start, stop in ((0, cut), (cut, cut_after), (cut_after, width)):
             if start == stop:
@@ -208,7 +214,8 @@ def census_runs(p: ModuliParams) -> Iterator[CensusRun]:
             # the dimension steps with d_r, so its ends give the whole range
             dims = (range(p.stratum_dimension(d_r.start), p.stratum_dimension(d_r.stop), -1)
                     if stable else None)
-            yield CensusRun(d_beta, range(start, stop), d_r, cls, row[start:stop], dims)
+            yield CensusRun(d_beta, range(start, stop), d_r, cls, row[start:stop],
+                            texts[start:stop], dims)
         head = head * (N - d_beta) // (d_beta + 1)
 
 

@@ -1,9 +1,10 @@
 """Test-only paper facts: statements the tests check and no subcommand computes.
 
-The stability/GIT dictionary, the labeled partitions behind the census
-cells, the affine charts on the stable locus, orbit equivalence, the
-invariant-monomial predicates, the vanishing counts read through the local
-model, the torus action on the Hecke frames and a few conveniences on
+The stability/GIT dictionary and its derivation from the Hecke transform,
+the labeled partitions behind the census cells, the affine charts on the
+stable locus, orbit equivalence, the invariant-monomial predicates, the
+vanishing counts read through the local model, the torus action on the
+Hecke frames and a few conveniences on
 series and matrices are facts of the paper that the acceptance gate and
 the unit tests check against the package.
 The command line never computes them, so they live here and read the
@@ -81,6 +82,44 @@ def stratum_dimension(p: ModuliParams, part: LabeledPartition) -> int:
     if classify_partition(p, part) is not StabilityClass.STABLE:
         raise ValueError("stratum dimension is defined for stable partitions only")
     return p.g + part.d_r
+
+
+# the dictionary derived from the Hecke transform (stability)
+
+
+def hecke_subbundle_degrees(g: int, d: int, labels: Sequence[Label]) -> tuple[int, int]:
+    """Degrees of F' = ker(beta^vee wedge) and ker(gamma) inside F, read off the
+    Hecke transform alone, with no bound of ModuliParams.
+
+    iota = (beta^vee wedge, gamma) maps F into L^-2 K + L K, of degrees
+    2g - 2 - 2d and 2g - 2 + d, injectively with a length-one cokernel at
+    each of the 4g - 4 zeros of q = gamma beta.  At a zero the image of the
+    fibre of F is a line: the L^-2 K axis where gamma vanishes, the L K axis
+    where beta vanishes, a line of finite slope otherwise.  A section of one
+    summand lies in F exactly where the line is that summand's axis, so
+    ker gamma is L^-2 K less the slots off its axis and F' is L K less the
+    slots off its own.
+    """
+    slots = 4 * g - 4  # deg K^2, the zeros of the quadratic differential q
+    if len(labels) != slots:
+        raise LengthMismatchError(f"{len(labels)} labels for {slots} zeros of q")
+    off_gamma_axis = sum(1 for v in labels if v is not Label.GAMMA)
+    off_beta_axis = sum(1 for v in labels if v is not Label.BETA)
+    return (2 * g - 2 + d) - off_beta_axis, (2 * g - 2 - 2 * d) - off_gamma_axis
+
+
+def hecke_slope_class(g: int, d: int, labels: Sequence[Label]) -> StabilityClass:
+    """Slope stability of L + F, of degree 0, from its two phi-invariant
+    subbundles that can destabilize it: L + F' and 0 + ker gamma."""
+    f_prime, ker_gamma = hecke_subbundle_degrees(g, d, labels)
+    degrees = (d + f_prime, ker_gamma)
+    if max(degrees) < 0:
+        return StabilityClass.STABLE
+    if degrees == (0, 0):
+        return StabilityClass.STRICTLY_POLYSTABLE
+    if max(degrees) == 0:
+        return StabilityClass.SEMISTABLE_NOT_POLYSTABLE
+    return StabilityClass.UNSTABLE
 
 
 # the census as the face lattice of the hypersimplex (stability)

@@ -2,8 +2,9 @@
 
 `census_runs` gets its counts from a recurrence over the first half of each
 row of d_beta, mirrors it for the second half, and asks `classify_counts`
-once per run of constant class; `cli` fills one JSON or CSV cell template
-per run.  `tests/census_reference.py` keeps the per-cell table and the
+once per run of constant class, with each count's decimal text made once
+per row; `cli` joins each JSON or CSV cell from fixed pieces of text and
+those texts.  `tests/census_reference.py` keeps the per-cell table and the
 `json.dumps`/`csv.writer` emission they replaced.  Every
 cell of every (genus, degree) in the grid is checked against a per-cell
 oracle written here: its position in (d_beta, d_gamma) order with
@@ -213,6 +214,19 @@ def test_census_rows_are_the_rows_of_d_beta_in_order(g):
             stable = run.stability is StabilityClass.STABLE
             dims = range(g + start, g + stop, -1) if stable else None
             assert run.stratum_dims == dims, (g, d, run)
+
+
+def test_census_run_texts_are_the_decimal_counts():
+    """Each run carries its counts' decimal texts, mirrored along the row as
+    the counts are: checked on rows of odd and even width, in all four
+    classes, by converting every count afresh."""
+    seen = set()
+    for g in range(2, 9):
+        for d in range(-g - 1, g + 2):
+            for run in census_runs(ModuliParams(g, d)):
+                assert run.labeled_texts == list(map(str, run.labeled_counts)), (g, d, run)
+                seen.add(run.stability)
+    assert seen == set(StabilityClass)
 
 
 def test_census_first_row_comes_before_the_rest_is_built(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su12fiber import git_engine
 from su12fiber.configuration import Configuration, FiberPoint, act
-from su12fiber.errors import LengthMismatchError
+from su12fiber.errors import InternalInconsistencyError, LengthMismatchError
 from su12fiber.git_engine import (
     GitClass,
     Linearization,
@@ -283,6 +284,14 @@ def test_representative_of_boundary_orbit():
 def test_representative_rejects_unstable():
     with pytest.raises(ValueError):
         s_equivalence_representative(cfg(Z, Z, Z, F(1)), LIN)
+
+
+def test_representative_of_stable_without_finite_slot_is_an_inconsistency(monkeypatch):
+    # a torus-fixed configuration is never stable; a classifier that says it
+    # is breaks the invariant the representative rests on, a finite slot
+    monkeypatch.setattr(git_engine, "classify_closed_form", lambda c, lin: GitClass.STABLE)
+    with pytest.raises(InternalInconsistencyError, match="finite slot"):
+        s_equivalence_representative(cfg(Z, Z, I, I), LIN)
 
 
 def test_dictionary_with_partition_stability():

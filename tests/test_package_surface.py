@@ -60,7 +60,7 @@ PINNED_IMPORTS = {
     "exact": {"errors": "NonUnitError OrderMismatchError"},
     "git_engine": {
         "configuration": "Configuration PointKind act mark_data saturate_limit",
-        "errors": "LengthMismatchError",
+        "errors": "InternalInconsistencyError LengthMismatchError",
         "stability": "ModuliParams",
     },
     "local_model": {

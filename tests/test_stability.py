@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from math import comb
 
@@ -5,7 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from su12fiber import cli
+from su12fiber.configuration import Configuration, FiberPoint
 from su12fiber.errors import InvalidGenusError, LengthMismatchError
+from su12fiber.git_engine import Linearization, classify_closed_form
 from su12fiber.stability import (
     CensusResult,
     ModuliParams,
@@ -21,6 +27,9 @@ from paper_reference import (
     LabeledPartition,
     classify_partition,
     e_polynomial,
+    git_class_of_stability,
+    hecke_slope_class,
+    hecke_subbundle_degrees,
     hypersimplex_f_vector,
     stratum_dimension,
 )
@@ -185,6 +194,59 @@ def test_split_degrees_sum(g, d):
         return
     deg1, deg2 = polystable_split_degrees(ModuliParams(g, d))
     assert deg1 + deg2 == -d
+
+
+# the dictionary derived from the Hecke transform: every degree from -g - 1 to
+# g + 1, so inside, at and outside the Milnor-Wood range |d| < g - 1
+HECKE_GENERA = (2, 3, 6, 9)
+
+
+def test_dictionary_is_the_one_derived_from_the_hecke_transform():
+    """Every cell's class from the two destabilizing degrees of the Hecke
+    transform (paper_reference.hecke_slope_class, which reads no bound of
+    ModuliParams) against classify_counts, the polystable split against
+    polystable_split_degrees, and, where the torus linearization exists, the
+    GIT class of the labels as points against classify_closed_form."""
+    point = {Label.GAMMA: FiberPoint.zero(), Label.BETA: FiberPoint.infinity()}
+    for g in HECKE_GENERA:
+        N = 4 * g - 4
+        cells = []
+        for d_beta in range(N + 1):
+            for d_gamma in range(N + 1 - d_beta):
+                labels = partition_of(d_beta, d_gamma, N).labels
+                points = [point.get(v) or FiberPoint.finite(j + 1) for j, v in enumerate(labels)]
+                cells.append((d_beta, d_gamma, labels, Configuration.of("L", points)))
+        for d in range(-g - 1, g + 2):
+            p = ModuliParams(g, d)
+            lin = Linearization.for_moduli(p) if abs(d) <= g - 1 else None
+            for d_beta, d_gamma, labels, config in cells:
+                cls = hecke_slope_class(g, d, labels)
+                assert cls is classify_counts(p, d_beta, d_gamma), (g, d, d_beta, d_gamma)
+                if cls is StabilityClass.STRICTLY_POLYSTABLE:
+                    assert hecke_subbundle_degrees(g, d, labels) == polystable_split_degrees(p)
+                if lin is not None:
+                    assert classify_closed_form(config, lin) is git_class_of_stability(cls), (
+                        g, d, d_beta, d_gamma)
+
+
+@pytest.mark.parametrize("g", HECKE_GENERA)
+def test_printed_bounds_are_where_the_hecke_subbundles_reach_degree_zero(g):
+    # each gamma-vanishing slot raises deg ker gamma by one and each
+    # beta-vanishing slot deg (L + F') by one, so a bound is the least count
+    # at which its subbundle reaches degree 0 exactly when every count k has
+    # degree k - bound
+    N = 4 * g - 4
+    for d in range(-g - 1, g + 2):
+        argv = ["stability", "--genus", str(g), "--degree", str(d), "--dbeta", "0", "--dgamma", "0"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        printed = json.loads(out.getvalue())
+        for k in range(N + 1):
+            _, ker_gamma = hecke_subbundle_degrees(g, d, partition_of(0, k, N).labels)
+            f_prime, _ = hecke_subbundle_degrees(g, d, partition_of(k, 0, N).labels)
+            assert ker_gamma == k - printed["gamma_bound"], (g, d, k)
+            assert d + f_prime == k - printed["beta_bound"], (g, d, k)
 
 
 def test_strictly_polystable_cell_is_unique():
