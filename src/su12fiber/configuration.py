@@ -101,29 +101,15 @@ class Configuration:
 
 @dataclass(frozen=True)
 class MarkData:
-    """Index sets of the fully degenerate slots."""
+    """Counts of the fully degenerate slots: [0:1] and [1:0]."""
 
-    zero_slots: frozenset[int]
-    infinity_slots: frozenset[int]
-
-    @property
-    def n_zero(self) -> int:
-        return len(self.zero_slots)
-
-    @property
-    def n_inf(self) -> int:
-        return len(self.infinity_slots)
+    n_zero: int
+    n_inf: int
 
 
 def mark_data(c: Configuration) -> MarkData:
-    zeros, infs = [], []
-    for j, p in enumerate(c.points):
-        kind = p.kind
-        if kind is PointKind.ZERO:
-            zeros.append(j)
-        elif kind is PointKind.INFINITY:
-            infs.append(j)
-    return MarkData(frozenset(zeros), frozenset(infs))
+    kinds = [p.kind for p in c.points]
+    return MarkData(kinds.count(PointKind.ZERO), kinds.count(PointKind.INFINITY))
 
 
 def act(scale, c: Configuration) -> Configuration:

@@ -12,16 +12,17 @@ layout of FLINT's fmpq_poly.  A scalar (a + b*sqrt2) / d is the triple
 (a, b, d); a series of order T is two length-T tuples of numerators and
 one d.  Every operation runs on Python ints and divides out one gcd at
 the end, not one per coefficient, and lowest terms make equality a
-comparison of triples.  The Fraction components Scalar.a and Scalar.b,
-and the Scalar coefficients TruncatedSeries.coeffs and series[k], are
-read-only views built on demand.
+comparison of triples and hashing a hash of the triple.  The Scalar
+coefficients TruncatedSeries.coeffs and series[k] are read-only views
+built on demand.
 
 Series are coefficient vectors of fixed length T.  A series is a unit iff
 its constant term is nonzero.
 
-Values convert where they enter: Scalar(a, b), Scalar.of, from_ratios and
-parse make scalars of ints, Fractions and literals, and
-TruncatedSeries.constant, monomial and from_ratios make series.
+Values convert where they enter: Scalar(a, b) and Scalar.of make scalars
+of ints, from_ratios of integer ratios and parse of literals, and
+TruncatedSeries.constant, monomial and from_ratios make series.  A bool,
+a float or any other non-int raises TypeError there.
 Arithmetic then takes one operand kind: a Scalar operator takes a Scalar,
 and a series operator a series of its own order.  Any other operand raises
 TypeError, and a series of another order OrderMismatchError.
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
@@ -68,15 +68,7 @@ from typing import Iterable, Sequence, Union
 
 from .errors import NonUnitError, OrderMismatchError
 
-ScalarLike = Union["Scalar", int, Fraction]
-
-
-def _as_fraction(x: Union[int, Fraction]) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+ScalarLike = Union["Scalar", int]
 
 
 def _scalar(a: int, b: int, d: int) -> "Scalar":
@@ -93,7 +85,7 @@ def _scalar(a: int, b: int, d: int) -> "Scalar":
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, "p" or "p/q" in lowest terms; like
+    """The ratio n/d for d > 0 as "p" or "p/q" in lowest terms; like
     str(int), it raises ValueError past the int_max_str_digits limit."""
     g = gcd(n, d)
     if g == d:
@@ -132,32 +124,17 @@ class Scalar:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, a: Union[int, Fraction] = 0, b: Union[int, Fraction] = 0) -> None:
-        fa, fb = _as_fraction(a), _as_fraction(b)
-        qa, qb = fa.denominator, fb.denominator
-        d = qa // gcd(qa, qb) * qb
-        # both Fractions are reduced, so (a, b, lcm) is in lowest terms
-        self._a = fa.numerator * (d // qa)
-        self._b = fb.numerator * (d // qb)
-        self._d = d
-
-    @property
-    def a(self) -> Fraction:
-        """The rational part."""
-        return Fraction(self._a, self._d)
-
-    @property
-    def b(self) -> Fraction:
-        """The coefficient of sqrt2."""
-        return Fraction(self._b, self._d)
+    def __init__(self, a: int = 0, b: int = 0) -> None:
+        """The scalar a + b*sqrt2 for two ints; a bool is not one."""
+        if a.__class__ is not int or b.__class__ is not int:
+            raise TypeError(
+                f"Scalar(a, b) takes two ints, got {type(a).__name__} and {type(b).__name__}"
+            )
+        self._a, self._b, self._d = a, b, 1
 
     @staticmethod
     def of(x: ScalarLike) -> "Scalar":
-        if isinstance(x, Scalar):
-            return x
-        if x.__class__ is int:  # not a bool, which takes the Fraction route
-            return _scalar(x, 0, 1)
-        return Scalar(x)
+        return x if isinstance(x, Scalar) else Scalar(x)
 
     @staticmethod
     def from_ratios(p: int, q: int, r: int, s: int) -> "Scalar":
@@ -188,7 +165,7 @@ class Scalar:
         return self._d == other._d and self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, o: "Scalar") -> "Scalar":
         if o.__class__ is not Scalar:
@@ -424,7 +401,7 @@ class TruncatedSeries:
         return self._d == other._d and self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash((self.coeffs,))
+        return hash((self._a, self._b, self._d))
 
     # ring operations
 

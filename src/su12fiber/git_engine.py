@@ -90,7 +90,15 @@ MonomialIndex = tuple[int, ...]
 
 
 def classify_closed_form(c: Configuration, lin: Linearization) -> GitClass:
-    """Mark-count classification: strict bounds give stability, weak semistability."""
+    """Mark-count classification: strict bounds give stability, weak semistability.
+
+    Stable iff n_zero < n and n_inf < N - n; semistable iff n_zero <= n and
+    n_inf <= N - n.  bruteforce_search spells the same inequality from
+    exponents, as the face test 0 <= k <= #free (0 < k < #free for
+    stability), and git-classify exits 2 if the two disagree.  Both read
+    n from ModuliParams; tests/paper_reference.hecke_slope_class derives
+    the classes from the paper's Hecke transform instead, reading no bound.
+    """
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
     marks = mark_data(c)
@@ -209,7 +217,10 @@ def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> B
     nonvanishing balanced vectors at power r is the face at power 1 scaled
     by r.  Pinned slots are constant on it and never interior, so the face
     is ordered by its free slots, and a stable witness needs an interior
-    free slot.  The face is nonempty iff 0 <= k <= #free.  Its first
+    free slot.  The face is nonempty iff 0 <= k <= #free.  In mark counts,
+    with #free = N - #[0:1] - #[1:0], 0 <= k is #[0:1] <= n and k <= #free
+    is #[1:0] <= N - n: the weak bounds of classify_closed_form, and
+    0 < k < #free below are its strict ones.  Its first
     vector packs k caps to the right, zeros elsewhere, and has no interior
     slot: the semistable witness.  It holds an interior vector iff
     0 < k < #free (sums 0 and cap * #free allow only all zeros and all

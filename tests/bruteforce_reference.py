@@ -5,7 +5,9 @@ cut out by the marks and then wrote that face's witnesses down in closed
 form.  It walks every balanced exponent vector of every power in
 lexicographic order through `bounded_compositions`, filters by
 nonvanishing afterwards and counts each vector it visits, so it shares no
-face, witness or rank code with the package.  Walking the sweep is
+face, witness or rank code with the package.  It reads the marked slots
+point by point (`paper_reference.mark_slots`), not through the package's
+mark counts.  Walking the sweep is
 what costs here, so it keeps a limit on the sweep's length of its own.
 That limit counts with the dynamic-programming table the package used
 before its closed form, and `lex_rank` is the rank the package computed
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from su12fiber.configuration import Configuration, mark_data
+from su12fiber.configuration import Configuration
 from su12fiber.errors import LengthMismatchError
 from su12fiber.git_engine import (
     BruteForceOutcome,
@@ -28,6 +30,8 @@ from su12fiber.git_engine import (
     MonomialIndex,
     bounded_compositions,
 )
+
+from paper_reference import mark_slots
 
 # the longest sweep the reference walks: N = 8, r = 1 at middle weight has
 # 2.3e6 balanced vectors, N = 8 with r_max = 2 has 2e8
@@ -99,9 +103,7 @@ def bruteforce_search(
             )
 
     fixed = all(not p.is_finite() for p in c.points)
-    marks = mark_data(c)
-    zero_slots = tuple(marks.zero_slots)
-    inf_slots = tuple(marks.infinity_slots)
+    zero_slots, inf_slots = map(tuple, mark_slots(c))
     semistable_witness: Optional[tuple[int, MonomialIndex]] = None
     stable_witness: Optional[tuple[int, MonomialIndex]] = None
     enumerated = 0

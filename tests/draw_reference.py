@@ -1,7 +1,8 @@
 """Test-only reference: the self-check suite's draws in their earlier forms.
 
-random_scalar and random_series are written with Fraction, as they were
-before they passed integer numerators to Scalar.from_ratios.
+random_scalar and random_series draw each part as a Fraction, as they did
+before they passed integer numerators to Scalar.from_ratios; the scalar
+is then built from the reduced parts with Scalar.from_ratios.
 random_det_zeta_matrix forms S1 and S2 and multiplies S1 diag(1, zeta) by
 S2 as matrices, as it was before it applied S1 as row operations.
 
@@ -22,7 +23,7 @@ def random_scalar(rng: Random, *, nonzero: bool = False) -> Scalar:
     while True:
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else 0
-        s = Scalar(a, b)
+        s = Scalar.from_ratios(a.numerator, a.denominator, b.numerator, b.denominator)
         if not (nonzero and s.is_zero()):
             return s
 

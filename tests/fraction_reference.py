@@ -5,7 +5,10 @@ numerators over one shared denominator.  Every coefficient is a pair of
 reduced Fractions and every operation reduces each coefficient on its own,
 so it shares no arithmetic code with the package.  The differential tests
 in test_exact_differential.py require the package kernel to agree with it
-value for value, string for string and hash for hash.
+value for value and string for string.  Values cross between the two
+only through the package's public conversions: exact_scalar, to_exact and
+series_to_exact build package values with from_ratios, and from_exact
+reads one back through its printed form and Scalar.parse here.
 
 Scalar.parse here accepts the full Fraction grammar (decimals, exponents);
 the package accepts only the README grammar, so the two are compared on
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from su12fiber import exact
 from su12fiber.errors import NonUnitError, OrderMismatchError
 
 ScalarLike = Union["Scalar", int, Fraction]
@@ -347,3 +351,28 @@ class Mat2:
     def det(self) -> TruncatedSeries:
         (a, b), (c, d) = self.entries
         return a * d - b * c
+
+
+# conversions to and from the package kernel
+
+
+def exact_scalar(a: Union[int, Fraction], b: Union[int, Fraction] = 0) -> exact.Scalar:
+    """The package scalar a + b*sqrt2, through Scalar.from_ratios."""
+    a, b = _as_fraction(a), _as_fraction(b)
+    return exact.Scalar.from_ratios(a.numerator, a.denominator, b.numerator, b.denominator)
+
+
+def to_exact(x: Scalar) -> exact.Scalar:
+    return exact_scalar(x.a, x.b)
+
+
+def from_exact(x: exact.Scalar) -> Scalar:
+    """The reference scalar of a package scalar, read from its printed form."""
+    return Scalar.parse(str(x))
+
+
+def series_to_exact(s: TruncatedSeries) -> exact.TruncatedSeries:
+    """The package series of a reference series, through TruncatedSeries.from_ratios."""
+    return exact.TruncatedSeries.from_ratios(
+        (c.a.numerator, c.a.denominator, c.b.numerator, c.b.denominator) for c in s.coeffs
+    )

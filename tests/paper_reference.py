@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from su12fiber.configuration import Configuration, FiberPoint, act, mark_data
+from su12fiber.configuration import Configuration, FiberPoint, act
 from su12fiber.errors import LengthMismatchError, NonUnitError
 from su12fiber.exact import Mat2, Scalar, ScalarLike, TruncatedSeries
 from su12fiber.git_engine import GitClass, Linearization, classify_closed_form
@@ -199,6 +199,14 @@ def stratum_of(c: Configuration) -> LabeledPartition:
     return LabeledPartition.of(labels)
 
 
+def mark_slots(c: Configuration) -> tuple[frozenset[int], frozenset[int]]:
+    """The [0:1] slots and the [1:0] slots, read point by point;
+    configuration.mark_data keeps only their counts."""
+    zeros = frozenset(j for j, p in enumerate(c.points) if p.is_zero())
+    infs = frozenset(j for j, p in enumerate(c.points) if p.is_infinity())
+    return zeros, infs
+
+
 def orbit_equivalent(x: Configuration, y: Configuration) -> Optional[Scalar]:
     """The unique scale c with act(c, x) == y, or None.
 
@@ -255,10 +263,8 @@ def monomial_nonvanishing(
     _check_monomial(m, lin, r)
     if c.size != lin.N:
         raise LengthMismatchError(f"configuration has {c.size} slots, expected {lin.N}")
-    marks = mark_data(c)
-    return all(m[j] == lin.N * r for j in marks.zero_slots) and all(
-        m[j] == 0 for j in marks.infinity_slots
-    )
+    zeros, infs = mark_slots(c)
+    return all(m[j] == lin.N * r for j in zeros) and all(m[j] == 0 for j in infs)
 
 
 def git_class_of_stability(s: StabilityClass) -> GitClass:

@@ -6,7 +6,6 @@ per-criterion lines:  python3 -m pytest tests/test_acceptance.py -v -s
 
 import itertools
 import time
-from fractions import Fraction
 from random import Random
 
 from su12fiber import local_model
@@ -61,7 +60,7 @@ def _report_suite(num: int, name: str, runs) -> None:
 
 def _random_nonzero_scalar(rng: Random) -> Scalar:
     while True:
-        s = Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        s = Scalar.from_ratios(rng.randint(-9, 9), rng.randint(1, 9), 0, 1)
         if not s.is_zero():
             return s
 

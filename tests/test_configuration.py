@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 from collections import OrderedDict
-from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -23,7 +22,14 @@ from su12fiber.git_engine import GitClass, Linearization, classify_closed_form
 from su12fiber.stability import ModuliParams
 
 import input_reference
-from paper_reference import Label, NoChartError, affine_chart, orbit_equivalent, stratum_of
+from paper_reference import (
+    Label,
+    NoChartError,
+    affine_chart,
+    mark_slots,
+    orbit_equivalent,
+    stratum_of,
+)
 
 G2D0 = ModuliParams(2, 0)
 LIN = Linearization.for_moduli(G2D0)
@@ -67,9 +73,9 @@ def test_fiber_point_validation():
 
 
 def test_mark_data():
-    marks = mark_data(cfg(Z, Z, I, F(3)))
-    assert marks.zero_slots == frozenset({0, 1})
-    assert marks.infinity_slots == frozenset({2})
+    c = cfg(Z, Z, I, F(3))
+    assert mark_slots(c) == (frozenset({0, 1}), frozenset({2}))
+    marks = mark_data(c)
     assert marks.n_zero == 2
     assert marks.n_inf == 1
 
@@ -195,13 +201,14 @@ def test_classifiers_invariant_under_action():
     for c in all_g2d0_patterns(rng):
         for s in (2, Scalar(1, 1), Scalar.of(-3)):
             moved = act(s, c)
+            assert mark_slots(moved) == mark_slots(c)
             assert mark_data(moved) == mark_data(c)
             assert stratum_of(moved) == stratum_of(c)
             assert classify_closed_form(moved, LIN) is classify_closed_form(c, LIN)
 
 
 def test_json_round_trip():
-    c = cfg(Z, F(Scalar(Fraction(1, 3), Fraction(1, 3))), I, F(-2))
+    c = cfg(Z, F(Scalar.from_ratios(1, 3, 1, 3)), I, F(-2))
     data = config_to_json(c)
     assert json.loads(json.dumps(data)) == data
     assert config_from_json(data) == c

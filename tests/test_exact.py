@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from su12fiber.errors import NonUnitError, OrderMismatchError
 from su12fiber.exact import Mat2, Scalar, TruncatedSeries
 
+import fraction_reference as ref
 from paper_reference import (
     matrix_inverse,
     series_from_coeffs,
@@ -18,7 +19,7 @@ from paper_reference import (
 )
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=8)
-scalars = st.builds(Scalar, fractions, fractions)
+scalars = st.builds(ref.exact_scalar, fractions, fractions)
 nonzero_scalars = scalars.filter(lambda s: not s.is_zero())
 
 ORDER = 5
@@ -58,8 +59,8 @@ nonzero_ints = st.integers(min_value=-99, max_value=99).filter(bool)
 @given(st.integers(-99, 99), nonzero_ints, st.integers(-99, 99), nonzero_ints)
 def test_scalar_from_ratios_matches_fractions(p, q, r, s):
     x = Scalar.from_ratios(p, q, r, s)
-    assert x == Scalar(Fraction(p, q), Fraction(r, s))
-    assert (x.a, x.b) == (Fraction(p, q), Fraction(r, s))
+    old = ref.Scalar(Fraction(p, q), Fraction(r, s))
+    assert ref.from_exact(x) == old and str(x) == str(old)
 
 
 @given(st.lists(st.tuples(st.integers(-99, 99), nonzero_ints, st.integers(-99, 99), nonzero_ints),
@@ -77,14 +78,14 @@ def test_sqrt2_squares_to_two():
 
 
 def test_conjugate_product():
-    x = Scalar(Fraction(1), Fraction(1))  # 1 + sqrt2
-    y = Scalar(Fraction(1), Fraction(-1))  # 1 - sqrt2
+    x = Scalar(1, 1)  # 1 + sqrt2
+    y = Scalar(1, -1)  # 1 - sqrt2
     assert x * y == Scalar.of(-1)
 
 
 def test_scalar_inverse_example():
-    x = Scalar(Fraction(1), Fraction(1))
-    assert x.inverse() == Scalar(Fraction(-1), Fraction(1))
+    x = Scalar(1, 1)
+    assert x.inverse() == Scalar(-1, 1)
     assert x * x.inverse() == Scalar.one()
 
 
@@ -113,11 +114,11 @@ def test_scalar_string_round_trip(x):
 
 
 def test_scalar_parse_forms():
-    assert Scalar.parse("3/4") == Scalar(Fraction(3, 4))
-    assert Scalar.parse("-2") == Scalar(Fraction(-2))
-    assert Scalar.parse("1/2+1/3*sqrt2") == Scalar(Fraction(1, 2), Fraction(1, 3))
-    assert Scalar.parse("1/2-1/3*sqrt2") == Scalar(Fraction(1, 2), Fraction(-1, 3))
-    assert Scalar.parse("-1/3*sqrt2") == Scalar(Fraction(0), Fraction(-1, 3))
+    assert Scalar.parse("3/4") == Scalar.from_ratios(3, 4, 0, 1)
+    assert Scalar.parse("-2") == Scalar(-2)
+    assert Scalar.parse("1/2+1/3*sqrt2") == Scalar.from_ratios(1, 2, 1, 3)
+    assert Scalar.parse("1/2-1/3*sqrt2") == Scalar.from_ratios(1, 2, -1, 3)
+    assert Scalar.parse("-1/3*sqrt2") == Scalar.from_ratios(0, 1, -1, 3)
     with pytest.raises(ValueError):
         Scalar.parse("sqrt3")
     with pytest.raises(ValueError):
@@ -139,8 +140,19 @@ def test_scalar_parse_forms():
 FOREIGN_OPERANDS = (2, Fraction(1, 2), True)
 
 
+def test_scalar_constructors_take_only_ints():
+    # a bool is an int subclass and a Fraction or float a number, but none is
+    # an int: each is refused where it enters, not converted
+    for bad in (True, False, Fraction(1, 2), Fraction(2), 1.0, 0.5, "1"):
+        for make in (Scalar, Scalar.of, lambda x: Scalar(1, x), lambda x: Scalar(x, 1)):
+            with pytest.raises(TypeError):
+                make(bad)
+    assert Scalar.of(2) == Scalar(2, 0) == Scalar.parse("2")
+    assert Scalar.of(Scalar(1, 1)) == Scalar(1, 1)
+
+
 def test_scalar_arithmetic_takes_only_scalars():
-    x = Scalar(Fraction(1, 2), Fraction(1, 3))
+    x = Scalar.from_ratios(1, 2, 1, 3)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         for other in FOREIGN_OPERANDS:
             with pytest.raises(TypeError):
@@ -181,7 +193,7 @@ def test_series_inverse_geometric():
 
 def test_series_inverse_constant():
     two = TruncatedSeries.constant(2, 3)
-    assert two.inverse() == TruncatedSeries.constant(Scalar(Fraction(1, 2)), 3)
+    assert two.inverse() == TruncatedSeries.constant(Scalar.from_ratios(1, 2, 0, 1), 3)
 
 
 def test_series_nonunit_inverse_raises():
@@ -235,7 +247,7 @@ def test_series_valuation():
 
 def test_series_string_round_trip():
     s = series_from_coeffs(
-        [Scalar(Fraction(1, 2), Fraction(-1, 3)), Scalar.of(0), Scalar.sqrt2()], 4
+        [Scalar.from_ratios(1, 2, -1, 3), Scalar.of(0), Scalar.sqrt2()], 4
     )
     assert series_parse(series_to_strings(s)) == s
 

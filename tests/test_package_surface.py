@@ -1,6 +1,7 @@
 """The package holds what the command line and the README use.
 
-The guards read the source with ast and import nothing:
+The guards read the source with ast and import nothing, but for one that
+imports the command line in a child interpreter:
 
 * each module's imports from inside the package are pinned, so a new
   dependency between modules, such as configuration on stability, is an
@@ -19,11 +20,17 @@ The guards read the source with ast and import nothing:
   each name in it is imported there;
 * no package class defines a reflected operator (``__radd__`` and the
   like) or binds a dunder to another of its names (``__radd__ = __add__``):
-  values convert where they enter, so each operator takes one operand kind.
+  values convert where they enter, so each operator takes one operand kind;
+* exact.py keeps one representation of field elements, integer numerators
+  over one denominator: no module imports ``fractions`` or ``decimal``, no
+  Scalar method builds a Fraction component, and importing su12fiber.cli
+  in a fresh interpreter loads neither module.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -401,3 +408,41 @@ def test_no_reflected_operator_or_operator_alias():
         f"enter instead): {sorted(found - set(OPERATOR_ROUTES_ALLOWED))}; "
         f"allowed but now gone: {sorted(set(OPERATOR_ROUTES_ALLOWED) - found)}"
     )
+
+
+# one representation of field elements
+
+NO_IMPORT = {"fractions", "decimal"}
+
+
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules a tree imports by absolute name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_fractions_or_decimal():
+    trees = _modules()
+    found = {name: _absolute_imports(tree) & NO_IMPORT for name, tree in trees.items()}
+    assert {name: names for name, names in found.items() if names} == {}
+    scalar = next(
+        node for node in trees["exact"].body
+        if isinstance(node, ast.ClassDef) and node.name == "Scalar"
+    )
+    methods = {stmt.name for stmt in scalar.body if isinstance(stmt, ast.FunctionDef)}
+    assert methods and not methods & {"a", "b"}, "Scalar.a and Scalar.b are gone"
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_decimal():
+    # a child interpreter: this one imported fractions long before the test
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = f"import su12fiber.cli, sys; print(*sorted({NO_IMPORT!r} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
