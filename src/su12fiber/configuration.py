@@ -21,12 +21,12 @@ All slot indices are 0-based.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 from .errors import InvalidScaleError, LengthMismatchError, NotOnBoundaryError
 from .exact import Scalar
+from .frozen import Value
 
 
 class PointKind(Enum):
@@ -35,17 +35,20 @@ class PointKind(Enum):
     FINITE = "finite"  # [t:1], t != 0
 
 
-@dataclass(frozen=True)
-class FiberPoint:
+class FiberPoint(Value):
     kind: PointKind
-    t: Optional[Scalar] = None
+    t: Optional[Scalar]
 
-    def __post_init__(self) -> None:
-        if self.kind is PointKind.FINITE:
-            if self.t is None or self.t.is_zero():
+    __slots__ = _fields = ("kind", "t")
+
+    def __init__(self, kind: PointKind, t: Optional[Scalar] = None) -> None:
+        if kind is PointKind.FINITE:
+            if t is None or t.is_zero():
                 raise ValueError("finite points carry a nonzero affine coordinate")
-        elif self.t is not None:
-            raise ValueError(f"{self.kind.value} points carry no coordinate")
+        elif t is not None:
+            raise ValueError(f"{kind.value} points carry no coordinate")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "t", t)
 
     @staticmethod
     def zero() -> "FiberPoint":
@@ -80,12 +83,17 @@ _ZERO_POINT = FiberPoint(PointKind.ZERO)
 _INF_POINT = FiberPoint(PointKind.INFINITY)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Value):
     """Base-line label plus one fiber point per marked slot."""
 
     base: str
     points: tuple[FiberPoint, ...]
+
+    __slots__ = _fields = ("base", "points")
+
+    def __init__(self, base: str, points: tuple[FiberPoint, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", points)
 
     @staticmethod
     def of(base: str, points: Iterable[FiberPoint]) -> "Configuration":
@@ -99,12 +107,17 @@ class Configuration:
         return f"{self.base}: ({', '.join(str(p) for p in self.points)})"
 
 
-@dataclass(frozen=True)
-class MarkData:
+class MarkData(Value):
     """Counts of the fully degenerate slots: [0:1] and [1:0]."""
 
     n_zero: int
     n_inf: int
+
+    __slots__ = _fields = ("n_zero", "n_inf")
+
+    def __init__(self, n_zero: int, n_inf: int) -> None:
+        object.__setattr__(self, "n_zero", n_zero)
+        object.__setattr__(self, "n_inf", n_inf)
 
 
 def mark_data(c: Configuration) -> MarkData:

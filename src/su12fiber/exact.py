@@ -53,20 +53,20 @@ integer dot product per pair of numerator vectors, then one reduction,
 without the other T - 1 coefficients of the product.
 
 Mat2 is frozen as well, and det() computes a*d - b*c once per matrix and
-keeps it on the instance, outside the dataclass fields, so equality,
-hashing, repr and dataclasses.replace never see it.
+keeps it in a slot outside the matrix's fields, so equality, hashing and
+repr never see it; a matrix built from other entries computes its own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import NonUnitError, OrderMismatchError
+from .frozen import Value
 
 ScalarLike = Union["Scalar", int]
 
@@ -565,16 +565,20 @@ def _memo_monomial(k: int, order: int, value: int) -> TruncatedSeries:
 SeriesPair = tuple[TruncatedSeries, TruncatedSeries]
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Value):
     """2x2 matrix over one truncation order of Q(sqrt2)[[zeta]]/zeta^T."""
 
     entries: tuple[SeriesPair, SeriesPair]
 
-    def __post_init__(self) -> None:
-        orders = {e.order for row in self.entries for e in row}
+    _fields = ("entries",)
+    __slots__ = ("entries", "_det")
+
+    def __init__(self, entries: tuple[SeriesPair, SeriesPair]) -> None:
+        orders = {e.order for row in entries for e in row}
         if len(orders) != 1:
             raise OrderMismatchError(f"mixed truncation orders in matrix: {sorted(orders)}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_det", None)
 
     @property
     def order(self) -> int:
@@ -612,9 +616,9 @@ class Mat2:
         )
 
     def det(self) -> TruncatedSeries:
-        # computed once per matrix and kept beside the frozen fields, so it
-        # stays out of ==, hash, repr and dataclasses.replace
-        det = self.__dict__.get("_det")
+        # computed once per matrix and kept in a slot outside _fields, so it
+        # stays out of ==, hash and repr
+        det = self._det
         if det is None:
             (a, b), (c, d) = self.entries
             det = a * d - b * c

@@ -41,13 +41,13 @@ swept, not by the length of the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 from typing import Iterator, Optional, Sequence
 
 from .configuration import Configuration, PointKind, act, mark_data, saturate_limit
 from .errors import InternalInconsistencyError, LengthMismatchError
+from .frozen import Value
 from .stability import ModuliParams
 
 
@@ -57,21 +57,25 @@ class GitClass(Enum):
     UNSTABLE = "GitUnstable"
 
 
-@dataclass(frozen=True)
-class Linearization:
+class Linearization(Value):
     """Slot count N and weight parameter n; the power r is swept separately."""
 
     n: int
     N: int
-    # balanced vector count per power r, filled by balanced_count as asked
-    _counts: dict[int, int] = field(default_factory=dict, init=False, repr=False,
-                                    compare=False)
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"need at least one slot, got N = {self.N}")
-        if not 0 <= self.n <= self.N:
-            raise ValueError(f"weight parameter n = {self.n} outside [0, {self.N}]")
+    _fields = ("n", "N")
+    __slots__ = ("n", "N", "_counts")
+
+    def __init__(self, n: int, N: int) -> None:
+        if N < 1:
+            raise ValueError(f"need at least one slot, got N = {N}")
+        if not 0 <= n <= N:
+            raise ValueError(f"weight parameter n = {n} outside [0, {N}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+        # balanced vector count per power r, filled by balanced_count as
+        # asked; outside _fields, so ==, hash and repr never see it
+        object.__setattr__(self, "_counts", {})
 
     @staticmethod
     def for_moduli(p: ModuliParams) -> "Linearization":
@@ -190,13 +194,25 @@ def _lex_rank(m: Sequence[int], cap: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class BruteForceOutcome:
+class BruteForceOutcome(Value):
     git_class: GitClass
     semistable_witness: Optional[tuple[int, MonomialIndex]]
     stable_witness: Optional[tuple[int, MonomialIndex]]
     monomials_enumerated: int
     fixed_point: bool
+
+    __slots__ = _fields = ("git_class", "semistable_witness", "stable_witness",
+                           "monomials_enumerated", "fixed_point")
+
+    def __init__(self, git_class: GitClass,
+                 semistable_witness: Optional[tuple[int, MonomialIndex]],
+                 stable_witness: Optional[tuple[int, MonomialIndex]],
+                 monomials_enumerated: int, fixed_point: bool) -> None:
+        object.__setattr__(self, "git_class", git_class)
+        object.__setattr__(self, "semistable_witness", semistable_witness)
+        object.__setattr__(self, "stable_witness", stable_witness)
+        object.__setattr__(self, "monomials_enumerated", monomials_enumerated)
+        object.__setattr__(self, "fixed_point", fixed_point)
 
 
 def bruteforce_search(c: Configuration, lin: Linearization, r_max: int = 1) -> BruteForceOutcome:

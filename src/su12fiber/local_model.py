@@ -21,7 +21,6 @@ are exact identities at order T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
@@ -32,6 +31,7 @@ from .errors import (
     SmithPreconditionError,
 )
 from .exact import DEFAULT_ORDER, Mat2, Scalar, SeriesPair, TruncatedSeries, product_coeff
+from .frozen import Frozen
 
 ScalarMat = tuple[tuple[Scalar, Scalar], tuple[Scalar, Scalar]]
 ScalarVec = tuple[Scalar, Scalar]
@@ -77,13 +77,18 @@ def hecke_frame(point: FiberPoint, order: int = DEFAULT_ORDER) -> Mat2:
     return Mat2(((one, zero), (slope, zeta)))
 
 
-@dataclass(frozen=True)
-class LocalHiggs:
+class LocalHiggs(Frozen):
     """The two Higgs components at the marked point, beta a column and
     gamma a row, with gamma . beta = zeta for a simple modification."""
 
     beta: SeriesPair
     gamma: SeriesPair
+
+    __slots__ = ("beta", "gamma")
+
+    def __init__(self, beta: SeriesPair, gamma: SeriesPair) -> None:
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
     def gamma_beta(self) -> TruncatedSeries:
         return self.gamma[0] * self.beta[0] + self.gamma[1] * self.beta[1]

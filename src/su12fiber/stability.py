@@ -18,13 +18,13 @@ at |d| = g - 1 one of the strict bounds collapses to d_* < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, groupby, repeat
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidGenusError
+from .frozen import Frozen, Value
 
 
 class StabilityClass(Enum):
@@ -34,8 +34,7 @@ class StabilityClass(Enum):
     UNSTABLE = "Unstable"
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class ModuliParams(Value):
     """Genus and degree, with the derived slot count and torus weight.
 
     N = 4g - 4 marked points; n = 2(g-1+d) is the weight parameter entering
@@ -46,12 +45,16 @@ class ModuliParams:
     g: int
     d: int
 
-    def __post_init__(self) -> None:
+    __slots__ = _fields = ("g", "d")
+
+    def __init__(self, g: int, d: int) -> None:
         # bool is an int subclass, but True is not a genus or a degree
-        if not isinstance(self.g, int) or isinstance(self.g, bool) or self.g < 2:
-            raise InvalidGenusError(f"genus must be an integer >= 2, got {self.g!r}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool):
-            raise ValueError(f"degree must be an integer, got {self.d!r}")
+        if not isinstance(g, int) or isinstance(g, bool) or g < 2:
+            raise InvalidGenusError(f"genus must be an integer >= 2, got {g!r}")
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValueError(f"degree must be an integer, got {d!r}")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "d", d)
 
     @property
     def N(self) -> int:
@@ -144,10 +147,15 @@ class CensusRun(NamedTuple):
     stratum_dims: range | None
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(Frozen):
     params: ModuliParams
     rows: tuple[CensusRow, ...]
+
+    __slots__ = ("params", "rows")
+
+    def __init__(self, params: ModuliParams, rows: tuple[CensusRow, ...]) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "rows", rows)
 
     def class_totals(self) -> dict[StabilityClass, int]:
         """Labeled count of every class, in one pass over runs of equal class."""

@@ -27,3 +27,10 @@ def test_workflow_calls_each_ci_script_and_only_scripts_that_exist():
     assert all((ROOT / path).is_file() for path in called), called
     scripts = {p.name for p in (ROOT / "tests" / "ci").glob("*.py")} - set(NOT_CALLED)
     assert called == {f"tests/ci/{name}" for name in scripts}
+
+
+def test_cli_surface_job_checks_the_import_set_under_every_release():
+    # tier-1 pins the modules `import su12fiber.cli` loads under two releases;
+    # the cli-surface matrix runs the same check under all five
+    job = WORKFLOW.read_text(encoding="utf-8").split("\n  cli-surface:\n", 1)[1]
+    assert "run: PYTHONPATH=src python tests/ci/import_set.py\n" in job

@@ -5,7 +5,6 @@ interpreter itself matters (python -O, python -m, a hard timeout).
 """
 
 import contextlib
-import dataclasses
 import enum
 import hashlib
 import io
@@ -32,7 +31,7 @@ from su12fiber.configuration import (
     config_to_json,
 )
 from su12fiber.exact import MAX_LITERAL_LENGTH, Scalar
-from su12fiber.git_engine import GitClass, composition_count
+from su12fiber.git_engine import BruteForceOutcome, GitClass, composition_count
 from su12fiber.stability import ModuliParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -504,9 +503,11 @@ def test_git_classify_disagreement_exits_two(tmp_path, capsys, monkeypatch):
 
 def _with_witness(outcome, kind, change):
     """outcome with the exponents of its kind witness rewritten by change."""
-    field = f"{kind}_witness"
-    power, exponents = getattr(outcome, field)
-    return dataclasses.replace(outcome, **{field: (power, tuple(change(list(exponents))))})
+    witnesses = {"semistable": outcome.semistable_witness, "stable": outcome.stable_witness}
+    power, exponents = witnesses[kind]
+    witnesses[kind] = (power, tuple(change(list(exponents))))
+    return BruteForceOutcome(outcome.git_class, witnesses["semistable"], witnesses["stable"],
+                             outcome.monomials_enumerated, outcome.fixed_point)
 
 
 def _shifted(exponents, frm, to):

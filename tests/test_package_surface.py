@@ -22,9 +22,11 @@ imports the command line in a child interpreter:
   like) or binds a dunder to another of its names (``__radd__ = __add__``):
   values convert where they enter, so each operator takes one operand kind;
 * exact.py keeps one representation of field elements, integer numerators
-  over one denominator: no module imports ``fractions`` or ``decimal``, no
-  Scalar method builds a Fraction component, and importing su12fiber.cli
-  in a fresh interpreter loads neither module.
+  over one denominator, and the value types are written-out __slots__
+  classes: no module imports ``dataclasses``, ``inspect``, ``fractions`` or
+  ``decimal``, no Scalar method builds a Fraction component, and importing
+  su12fiber.cli in a fresh interpreter loads none of the four
+  (tests/ci/import_set.py, which CI also runs under every release).
 """
 
 import ast
@@ -62,20 +64,25 @@ PINNED_IMPORTS = {
     "configuration": {
         "errors": "InvalidScaleError LengthMismatchError NotOnBoundaryError",
         "exact": "Scalar",
+        "frozen": "Value",
     },
     "errors": {},
-    "exact": {"errors": "NonUnitError OrderMismatchError"},
+    "exact": {"errors": "NonUnitError OrderMismatchError", "frozen": "Value"},
+    # the base classes of the value types; they import nothing
+    "frozen": {},
     "git_engine": {
         "configuration": "Configuration PointKind act mark_data saturate_limit",
         "errors": "InternalInconsistencyError LengthMismatchError",
+        "frozen": "Value",
         "stability": "ModuliParams",
     },
     "local_model": {
         "configuration": "FiberPoint",
         "errors": "HeckeDatumError InternalInconsistencyError SmithPreconditionError",
         "exact": "DEFAULT_ORDER Mat2 Scalar SeriesPair TruncatedSeries product_coeff",
+        "frozen": "Frozen",
     },
-    "stability": {"errors": "InvalidGenusError"},
+    "stability": {"errors": "InvalidGenusError", "frozen": "Frozen Value"},
 }
 
 # (module, name) -> why it stays in the package with no caller in it
@@ -410,9 +417,9 @@ def test_no_reflected_operator_or_operator_alias():
     )
 
 
-# one representation of field elements
+# one representation of field elements, and value types without generated code
 
-NO_IMPORT = {"fractions", "decimal"}
+NO_IMPORT = {"dataclasses", "decimal", "fractions", "inspect"}
 
 
 def _absolute_imports(tree: ast.Module) -> set[str]:
@@ -426,7 +433,7 @@ def _absolute_imports(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_no_module_imports_fractions_or_decimal():
+def test_no_module_imports_dataclasses_inspect_fractions_or_decimal():
     trees = _modules()
     found = {name: _absolute_imports(tree) & NO_IMPORT for name, tree in trees.items()}
     assert {name: names for name, names in found.items() if names} == {}
@@ -438,11 +445,13 @@ def test_no_module_imports_fractions_or_decimal():
     assert methods and not methods & {"a", "b"}, "Scalar.a and Scalar.b are gone"
 
 
-def test_importing_the_cli_loads_neither_fractions_nor_decimal():
-    # a child interpreter: this one imported fractions long before the test
+def test_importing_the_cli_loads_none_of_dataclasses_inspect_fractions_decimal():
+    # a child interpreter: this one imported them all long before the test
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = f"import su12fiber.cli, sys; print(*sorted({NO_IMPORT!r} & set(sys.modules)))"
+    script = ROOT / "tests" / "ci" / "import_set.py"
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, str(script)], env=env, capture_output=True, text=True
     )
-    assert out.stdout.split() == []
+    # the script checks the same four modules this file's AST pin names
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == f"import su12fiber.cli loads none of {', '.join(sorted(NO_IMPORT))}\n"
