@@ -20,9 +20,11 @@ report leaves through one sink (_write), to stdout or to the file --output
 names.  The sink opens that file only after every check has passed, so a
 refused request neither creates nor truncates it.  One writer (_json_text)
 gives every JSON report, the census's head and tail included, the layout of
-json.dumps(indent=2, sort_keys=True), byte for byte.  json.dumps itself runs
-its pure-Python encoder with indent set, and takes about twice as long on
-these reports.
+json.dumps(indent=2, sort_keys=True), byte for byte: each value returns its
+text, and a dict or list one f-string around its members'.  json.dumps
+itself runs its pure-Python encoder with indent set, and takes 2.1 to 2.3
+times as long on the reports the benchmark's ops write (CPython 3.11.7,
+x86_64).
 
 Each subcommand's flags are declared once, in its table in _COMMANDS.  An
 argv that is a subcommand name and "--flag value" pairs is read from that
@@ -204,55 +206,40 @@ def _json_text(payload: dict) -> str:
     payloads of dicts with str keys, lists, str, int, True, False and None.
     Any other value, a float, a tuple or a subclass of int, str, dict or list
     included, raises TypeError, so nothing prints in another layout."""
-    pieces: list[str] = []
-    _json_pieces(payload, "\n", pieces.append)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _json_value(payload, "\n") + "\n"
 
 
-def _json_pieces(value: object, newline: str, put: Callable[[str], None]) -> None:
+def _json_value(value: object, newline: str) -> str:
     # newline is the line break and indent of the value's own line; True,
     # False and None are tested by identity, as 1.0 == True, 1 == True and
     # 0 == False would make a lookup print those numbers as true or false
     cls = value.__class__
     if cls is str:
-        put(encode_basestring_ascii(value))
-    elif cls is int:
-        put(int.__repr__(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif cls is dict:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = newline + "  "
+    if cls is dict:
         if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
+            return "{}"
+        members = []
         for key in sorted(value):
             if key.__class__ is not str:
                 raise TypeError(f"JSON report keys must be str, not {key.__class__.__name__}")
-            put(separator)
-            put(encode_basestring_ascii(key))
-            put(": ")
-            _json_pieces(value[key], inner, put)
-            separator = "," + inner
-        put(newline + "}")
-    elif cls is list:
+            members.append(f"{encode_basestring_ascii(key)}: {_json_value(value[key], inner)}")
+        return f"{{{inner}{(',' + inner).join(members)}{newline}}}"
+    if cls is list:
         if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            put(separator)
-            _json_pieces(item, inner, put)
-            separator = "," + inner
-        put(newline + "]")
-    else:
-        raise TypeError(f"a JSON report holds no {cls.__name__}")
+            return "[]"
+        items = [_json_value(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"a JSON report holds no {cls.__name__}")
 
 
 def _csv_text(columns: Sequence[str], records: Iterable[dict], comments: Iterable[str]) -> str:
@@ -351,51 +338,41 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 # census
 
 
-# one census cell, cut at its four fields that change from cell to cell:
-# d_gamma, d_rest, labeled_count and stratum_dimension.  A run fills in
-# {d_beta} and {stability} once; a cell that is not stable has no stratum
-# dimension, null in JSON and an empty field in CSV.  The JSON cell is laid
-# out as json.dumps(indent=2, sort_keys=True) lays out an object in the
-# "rows" list of the payload
-_CENSUS_CELL_JSON = (
-    '    {{\n      "d_beta": {d_beta},\n      "d_gamma": ',
-    ',\n      "d_rest": ',
-    ',\n      "labeled_count": ',
-    ',\n      "stability": "{stability}",\n      "stratum_dimension": ',
-    "\n    }}",
-)
-# ints and fixed class names, none of which csv.writer would quote
-_CENSUS_CELL_CSV = ("{d_beta},", ",", ",{stability},", ",", "\n")
-
-
 def _numerals(numerals: list[str], r: range) -> list[str]:
     """numerals[k] for k in r, a range of step 1 or -1 that stops at -1 or later."""
     return numerals[r.start:r.stop if r.stop >= 0 else None:r.step]
 
 
-def _census_cells(cell: tuple[str, ...], no_dimension: str, run: CensusRun,
-                  numerals: list[str]) -> Iterator[str]:
-    """The text of each cell of the run, one "".join of the cell's fixed
-    pieces and the decimal texts of its fields.  numerals holds str(k) for
-    every k up to g + N, which covers d_beta, d_gamma, d_r and the stratum
-    dimension g + d_r."""
-    head, after_gamma, after_rest, after_count, end = (
-        piece.format(d_beta=numerals[run.d_beta], stability=run.stability.value)
-        for piece in cell
-    )
-    fields = [repeat(head), _numerals(numerals, run.d_gamma), repeat(after_gamma),
-              _numerals(numerals, run.d_r), repeat(after_rest), run.labeled_texts]
-    if run.stratum_dims is None:
-        fields.append(repeat(after_count + no_dimension + end))
+def _census_cells(run: CensusRun, numerals: list[str], fmt: str) -> list[str]:
+    """The text of each cell of the run, one f-string per cell in fmt, "json"
+    or "csv".  A cell that is not stable has no stratum dimension, null in
+    JSON and an empty field in CSV.  The JSON cell has the layout
+    json.dumps(indent=2, sort_keys=True) gives an object in the payload's
+    "rows"; the CSV fields are ints and class names, which csv.writer would
+    not quote.
+
+    Every field is text already.  numerals holds str(k) for every k up to
+    g + N, which covers d_beta, d_gamma, d_r and the stratum dimension g + d_r.
+    run.labeled_texts holds the counts' texts, made once per row: converting
+    each count in its cell took the genus-60 JSON cells from 5.0 to 11.6 ms,
+    and once per table, by the symmetry of all three labels, would hold about
+    N^2/12 texts at once.  Each cell is its own string, joined once per run by
+    the caller: one % over the whole run raised the benchmark's peak RSS by
+    2 to 6 MB (BENCH_19.json)."""
+    d_beta, cls = numerals[run.d_beta], run.stability.value
+    if run.stratum_dims is not None:
+        dims = _numerals(numerals, run.stratum_dims)
     else:
-        fields += (repeat(after_count), _numerals(numerals, run.stratum_dims), repeat(end))
-    # every piece is text already, so a cell costs one join and converts
-    # nothing.  Each cell is its own small string and the caller's join sizes
-    # the run's text once: one % over the whole run raised the benchmark's
-    # peak RSS by 2 to 6 MB (BENCH_19.json).  A count's text is made once per
-    # row; the symmetry of all three labels would make each once per table,
-    # but hold about N^2/12 texts at once
-    return map("".join, zip(*fields))
+        dims = repeat("null" if fmt == "json" else "")
+    cells = zip(_numerals(numerals, run.d_gamma), _numerals(numerals, run.d_r),
+                run.labeled_texts, dims)
+    if fmt == "json":
+        return [f'    {{\n      "d_beta": {d_beta},\n      "d_gamma": {d_gamma},\n'
+                f'      "d_rest": {d_r},\n      "labeled_count": {count},\n'
+                f'      "stability": "{cls}",\n      "stratum_dimension": {dim}\n    }}'
+                for d_gamma, d_r, count, dim in cells]
+    return [f"{d_beta},{d_gamma},{d_r},{cls},{count},{dim}\n"
+            for d_gamma, d_r, count, dim in cells]
 
 
 def _census_json(p: ModuliParams) -> Iterator[str]:
@@ -409,7 +386,7 @@ def _census_json(p: ModuliParams) -> Iterator[str]:
     separator = ""
     for run in census_runs(p):
         totals[run.stability] += sum(run.labeled_counts)
-        yield separator + ",\n".join(_census_cells(_CENSUS_CELL_JSON, "null", run, numerals))
+        yield separator + ",\n".join(_census_cells(run, numerals, "json"))
         separator = ",\n"
     named = {cls.value: count for cls, count in totals.items()}
     tail = _json_text({"slots": p.N, "totals": {**named, "all": sum(totals.values())}})
@@ -422,7 +399,7 @@ def _census_csv(p: ModuliParams) -> Iterator[str]:
     totals = dict.fromkeys(StabilityClass, 0)
     for run in census_runs(p):
         totals[run.stability] += sum(run.labeled_counts)
-        yield "".join(_census_cells(_CENSUS_CELL_CSV, "", run, numerals))
+        yield "".join(_census_cells(run, numerals, "csv"))
     yield "".join(f"# total {cls.value} {count}\n" for cls, count in totals.items())
     yield f"# total all {sum(totals.values())}\n"
 

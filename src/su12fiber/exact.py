@@ -574,7 +574,7 @@ class Mat2(Value):
     __slots__ = ("entries", "_det")
 
     def __init__(self, entries: tuple[SeriesPair, SeriesPair]) -> None:
-        orders = {e.order for row in entries for e in row}
+        orders = {len(e._a) for row in entries for e in row}
         if len(orders) != 1:
             raise OrderMismatchError(f"mixed truncation orders in matrix: {sorted(orders)}")
         object.__setattr__(self, "entries", entries)

@@ -1,6 +1,6 @@
 """Every census of tests/census_digests.txt matches its recorded digest.
 
-The census is written from decimal texts, fixed pieces and str.join, and
+The census is written from decimal texts, one f-string per cell, and
 tier-1 compares those bytes with the digests under two releases only.  This
 script checks the whole grid under any release, stdlib and the package
 source alone: for each line "genus degree format digest" it runs

@@ -3,8 +3,8 @@
 `census_runs` gets its counts from a recurrence over the first half of each
 row of d_beta, mirrors it for the second half, and asks `classify_counts`
 once per run of constant class, with each count's decimal text made once
-per row; `cli` joins each JSON or CSV cell from fixed pieces of text and
-those texts.  `tests/census_reference.py` keeps the per-cell table and the
+per row; `cli` writes each JSON or CSV cell as one f-string over those
+texts.  `tests/census_reference.py` keeps the per-cell table and the
 `json.dumps`/`csv.writer` emission they replaced.  Every
 cell of every (genus, degree) in the grid is checked against a per-cell
 oracle written here: its position in (d_beta, d_gamma) order with

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
@@ -29,8 +31,19 @@ def test_workflow_calls_each_ci_script_and_only_scripts_that_exist():
     assert called == {f"tests/ci/{name}" for name in scripts}
 
 
-def test_cli_surface_job_checks_the_import_set_under_every_release():
-    # tier-1 pins the modules `import su12fiber.cli` loads under two releases;
-    # the cli-surface matrix runs the same check under all five
+# checks whose result can change between releases -> the cli-surface step that runs it
+RELEASE_CHECKS = {
+    "cli_digests": "tests/make_cli_digests.py --check",
+    "json_writer": "tests/ci/json_writer.py",
+    "census_digests": "tests/ci/census_digests.py",
+    "import_set": "tests/ci/import_set.py",
+}
+
+
+@pytest.mark.parametrize("script", list(RELEASE_CHECKS.values()), ids=list(RELEASE_CHECKS))
+def test_cli_surface_job_runs_the_check_under_every_release(script):
+    # tier-1 checks the CLI and census bytes, the JSON writer and the modules
+    # `import su12fiber.cli` loads under two releases; the cli-surface matrix
+    # runs each check under all five
     job = WORKFLOW.read_text(encoding="utf-8").split("\n  cli-surface:\n", 1)[1]
-    assert "run: PYTHONPATH=src python tests/ci/import_set.py\n" in job
+    assert f"run: PYTHONPATH=src python {script}\n" in job

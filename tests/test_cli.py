@@ -519,6 +519,7 @@ def _shifted(exponents, frm, to):
 # faults in the witnesses of ([0:1], [1:1], [2:1], [1:0]) at genus 2 and
 # degree 0 (N*r = 4, n = 2): semistable (4, 0, 4, 0), stable (4, 1, 3, 0)
 WITNESS_FAULTS = {
+    "length": ("stable", lambda m: m[:3], "it has 3 exponents for 4 slots"),
     "sum": ("stable", lambda m: [m[0], m[1] + 1, m[2], m[3]],
             "its exponents do not sum to N*r*n = 8"),
     "zero-slot": ("semistable", lambda m: _shifted(m, 0, 1),

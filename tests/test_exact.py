@@ -89,6 +89,7 @@ def test_scalar_inverse_example():
 
 
 def test_zero_has_no_inverse():
+    assert not Scalar.zero()
     with pytest.raises(ZeroDivisionError):
         Scalar.zero().inverse()
 
@@ -104,7 +105,7 @@ def test_scalar_ring_axioms(x, y, z):
 
 @given(nonzero_scalars)
 def test_scalar_field_inverse(x):
-    assert x * x.inverse() == Scalar.one()
+    assert x and x * x.inverse() == Scalar.one()
 
 
 @given(scalars)
@@ -168,6 +169,10 @@ def test_series_arithmetic_takes_only_series():
                 op(x, other)
             with pytest.raises(TypeError):
                 op(other, x)
+    # and a series equals no value of another kind, not even its constant term
+    two = TruncatedSeries.constant(2, 3)
+    for other in (2, Fraction(2), Scalar.of(2)):
+        assert two != other and other != two
 
 
 # truncated series
@@ -351,7 +356,7 @@ def test_product_with_a_monomial_shifts_either_way(s, k):
 
 
 def test_matrix_order_mismatch():
-    with pytest.raises(OrderMismatchError):
+    with pytest.raises(OrderMismatchError, match=r"^mixed truncation orders in matrix: \[3, 4\]$"):
         Mat2(
             (
                 (TruncatedSeries.one(3), TruncatedSeries.zero(3)),

@@ -102,6 +102,10 @@ def test_classify_closed_form():
     assert classify_closed_form(cfg(F(1), F(2), I, I), LIN) is GitClass.STRICTLY_SEMISTABLE
     with pytest.raises(LengthMismatchError):
         classify_closed_form(cfg(Z, Z), LIN)
+    with pytest.raises(LengthMismatchError):
+        bruteforce_search(cfg(Z, Z), LIN, r_max=1)
+    with pytest.raises(ValueError, match=r"^r_max must be >= 1, got 0$"):
+        bruteforce_search(cfg(Z, F(1), F(2), I), LIN, r_max=0)
 
 
 def test_composition_count_matches_enumeration():

@@ -167,6 +167,8 @@ def test_smith_column_swap_case():
 
 
 def test_smith_rejects_wrong_determinant():
+    with pytest.raises(SmithPreconditionError, match="truncation order must be >= 2"):
+        smith_form(Mat2.identity(1))
     with pytest.raises(SmithPreconditionError):
         smith_form(Mat2.diag(ZETA, ZETA))
     with pytest.raises(SmithPreconditionError):
