@@ -77,13 +77,15 @@ CHECK_FAILURE = 2
 
 # the largest requests accepted, refused before any work.  The genus bound
 # covers stability, census and git-classify alike: at genus 100 a census
-# writes about 24 MB of JSON or 13 MB of CSV in about 0.12 to 0.13 s, one run
-# at a time, with a peak RSS of about 17.5 MB, under 1 MB over the import alone
-# (interpreter start included), and git-classify spends at most about 3 s
-# on a stable configuration (its rank) and 0.7 to 0.9 s with --rmax 32 on
-# a file of non-stable ones, which share one count of 1,620 digits per
-# power, well under the 4,300 Python prints.  The README gives the time of
-# the largest local-model suite, at order 32 with 500 cases
+# writes about 24 MB of JSON or 13 MB of CSV in about 0.11 to 0.18 s, one run
+# at a time, with a peak RSS of about 18 MB, interpreter start included, and
+# about 2.5 MB over the import alone (CPython 3.11.7): its tracemalloc peak is
+# 2.6 to 2.8 MiB, mostly texts rows keep for later rows (census_runs); and
+# git-classify spends at most about 3 s on a stable configuration (its rank)
+# and 0.7 to 0.9 s with --rmax 32 on a file of non-stable ones, which share
+# one count of 1,620 digits per power, well under the 4,300 Python prints.
+# The README gives the time of the largest local-model suite, at order 32
+# with 500 cases
 MAX_GENUS = 100
 # Python converts ints of at most 4,300 digits to text by default, so argparse
 # already refuses a longer --degree; a degree of at most 4,299 digits keeps
@@ -343,36 +345,43 @@ def _numerals(numerals: list[str], r: range) -> list[str]:
     return numerals[r.start:r.stop if r.stop >= 0 else None:r.step]
 
 
-def _census_cells(run: CensusRun, numerals: list[str], fmt: str) -> list[str]:
-    """The text of each cell of the run, one f-string per cell in fmt, "json"
-    or "csv".  A cell that is not stable has no stratum dimension, null in
-    JSON and an empty field in CSV.  The JSON cell has the layout
+def _census_cells(run: CensusRun, numerals: list[str], fmt: str) -> Iterator[str]:
+    """The text of each cell of the run in fmt, "json" or "csv": one str.join
+    per cell of the run's fixed pieces and the texts of its fields, zipped
+    column by column.  A cell that is not stable has no stratum dimension,
+    null in JSON and an empty field in CSV.  The JSON cell has the layout
     json.dumps(indent=2, sort_keys=True) gives an object in the payload's
     "rows"; the CSV fields are ints and class names, which csv.writer would
     not quote.
 
     Every field is text already.  numerals holds str(k) for every k up to
     g + N, which covers d_beta, d_gamma, d_r and the stratum dimension g + d_r.
-    run.labeled_texts holds the counts' texts, made once per row: converting
-    each count in its cell took the genus-60 JSON cells from 5.0 to 11.6 ms,
-    and once per table, by the symmetry of all three labels, would hold about
-    N^2/12 texts at once.  Each cell is its own string, joined once per run by
-    the caller: one % over the whole run raised the benchmark's peak RSS by
-    2 to 6 MB (BENCH_19.json)."""
+    run.labeled_texts holds the counts' texts, made once per multiset of
+    part sizes (see census_runs): converting each count in its cell took the
+    genus-60 JSON cells from 5.0 to 11.6 ms.  Sharing the texts across rows
+    trades memory for time: it raised the genus-100 census's tracemalloc
+    peak from 0.2 to 2.8 MiB and cut the genus-60 and genus-100 CLI census
+    by 17 to 29 % in process.  Over the same runs, the join per cell took
+    the genus-60 JSON cells from 9.3 to 6.5 ms where an f-string per cell
+    was used (BENCH_36.json).  Each cell is its own string, joined once per
+    run by the caller: one % over the whole run raised the benchmark's peak
+    RSS by 2 to 6 MB (BENCH_19.json)."""
     d_beta, cls = numerals[run.d_beta], run.stability.value
-    if run.stratum_dims is not None:
-        dims = _numerals(numerals, run.stratum_dims)
-    else:
-        dims = repeat("null" if fmt == "json" else "")
-    cells = zip(_numerals(numerals, run.d_gamma), _numerals(numerals, run.d_r),
-                run.labeled_texts, dims)
     if fmt == "json":
-        return [f'    {{\n      "d_beta": {d_beta},\n      "d_gamma": {d_gamma},\n'
-                f'      "d_rest": {d_r},\n      "labeled_count": {count},\n'
-                f'      "stability": "{cls}",\n      "stratum_dimension": {dim}\n    }}'
-                for d_gamma, d_r, count, dim in cells]
-    return [f"{d_beta},{d_gamma},{d_r},{cls},{count},{dim}\n"
-            for d_gamma, d_r, count, dim in cells]
+        start = f'    {{\n      "d_beta": {d_beta},\n      "d_gamma": '
+        after_gamma, after_r = ',\n      "d_rest": ', ',\n      "labeled_count": '
+        after_count = f',\n      "stability": "{cls}",\n      "stratum_dimension": '
+        end, null = "\n    }", "null"
+    else:
+        start, after_gamma, after_r = f"{d_beta},", ",", f",{cls},"
+        after_count, end, null = ",", "\n", ""
+    fields = [repeat(start), _numerals(numerals, run.d_gamma), repeat(after_gamma),
+              _numerals(numerals, run.d_r), repeat(after_r), run.labeled_texts]
+    if run.stratum_dims is None:
+        fields.append(repeat(after_count + null + end))
+    else:
+        fields += repeat(after_count), _numerals(numerals, run.stratum_dims), repeat(end)
+    return map("".join, zip(*fields))
 
 
 def _census_json(p: ModuliParams) -> Iterator[str]:

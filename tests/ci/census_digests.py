@@ -1,12 +1,12 @@
 """Every census of tests/census_digests.txt matches its recorded digest.
 
-The census is written from decimal texts, one f-string per cell, and
-tier-1 compares those bytes with the digests under two releases only.  This
-script checks the whole grid under any release, stdlib and the package
-source alone: for each line "genus degree format digest" it runs
-cli.main(["census", ...]) in process and compares the digest, sha256 of
-stdout, a NUL byte and stderr.  Prints the count checked and each mismatch;
-exits 1 if any.
+The census is written from decimal texts shared between cells, one
+str.join per cell, and tier-1 compares those bytes with the digests under
+two releases only.  This script checks the whole grid under any release,
+stdlib and the package source alone: for each line "genus degree format
+digest" it runs cli.main(["census", ...]) in process and compares the
+digest, sha256 of stdout, a NUL byte and stderr.  Prints the count checked
+and each mismatch; exits 1 if any.
 
     PYTHONPATH=src python tests/ci/census_digests.py
 """

@@ -3,13 +3,14 @@
 `census_runs` gets its counts from a recurrence over the first half of each
 row of d_beta, mirrors it for the second half, and asks `classify_counts`
 once per run of constant class, with each count's decimal text made once
-per row; `cli` writes each JSON or CSV cell as one f-string over those
-texts.  `tests/census_reference.py` keeps the per-cell table and the
-`json.dumps`/`csv.writer` emission they replaced.  Every
-cell of every (genus, degree) in the grid is checked against a per-cell
-oracle written here: its position in (d_beta, d_gamma) order with
-d_r = N - d_beta - d_gamma, the multinomial from `math.comb`, the class
-from `classify_counts` and the stratum dimension g + d_r of stable cells.
+per multiset of part sizes and shared by its cells; `cli` writes each JSON
+or CSV cell as one join over those texts.  `tests/census_reference.py`
+keeps the per-cell table and the `json.dumps`/`csv.writer` emission they
+replaced.  Every cell of every (genus, degree) in the grid is checked
+against a per-cell oracle written here: its position in (d_beta, d_gamma)
+order with d_r = N - d_beta - d_gamma, the multinomial from `math.comb`,
+the class from `classify_counts` and the stratum dimension g + d_r of
+stable cells.
 The reference table, which checks the same four facts, is built only at
 the genera in LIVE_GENERA, where its emission is compared too.
 
@@ -38,7 +39,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -170,7 +171,9 @@ class BreaksAfterFirstWrite(io.TextIOBase):
 
 
 # tracemalloc peak of one genus-100 census sent to Discard; the whole text
-# is 24 MB of JSON or 13 MB of CSV, and one row of it at most about 0.2 MB
+# is 24 MB of JSON or 13 MB of CSV, and the peak is 2.6 to 2.8 MiB under
+# CPython 3.10 to 3.13: the texts that rows keep for later rows, at most
+# about N^2/8 of them, and one row
 CENSUS_PEAK_BOUND = 4 * 2**20
 
 
@@ -218,15 +221,32 @@ def test_census_rows_are_the_rows_of_d_beta_in_order(g):
 
 def test_census_run_texts_are_the_decimal_counts():
     """Each run carries its counts' decimal texts, mirrored along the row as
-    the counts are: checked on rows of odd and even width, in all four
-    classes, by converting every count afresh."""
+    the counts are and taken from earlier rows where the labels permute:
+    checked on rows of odd and even width, in all four classes, and at
+    genus 100, where rows up to d_beta = 131 keep texts for later rows, by
+    converting every count afresh."""
     seen = set()
-    for g in range(2, 9):
-        for d in range(-g - 1, g + 2):
-            for run in census_runs(ModuliParams(g, d)):
-                assert run.labeled_texts == list(map(str, run.labeled_counts)), (g, d, run)
-                seen.add(run.stability)
+    grid = [(g, d) for g in range(2, 9) for d in range(-g - 1, g + 2)] + [(100, 0)]
+    for g, d in grid:
+        for run in census_runs(ModuliParams(g, d)):
+            assert run.labeled_texts == list(map(str, run.labeled_counts)), (g, d, run)
+            seen.add(run.stability)
     assert seen == set(StabilityClass)
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5, 17])
+def test_census_each_count_text_is_made_once(g):
+    """The multinomial is symmetric in all three labels, so the cells of one
+    multiset {d_beta, d_gamma, d_r} share one text object: (b, c) with
+    (c, b), made by whichever of rows b and c comes first, and with
+    (b, N - b - c), its mirror in the row."""
+    N = 4 * g - 4
+    for d in (-g, 0, g):
+        texts = {}
+        for run in census_runs(ModuliParams(g, d)):
+            texts.update(zip(zip(repeat(run.d_beta), run.d_gamma), run.labeled_texts))
+        for (b, c), text in texts.items():
+            assert texts[c, b] is text and texts[b, N - b - c] is text, (g, d, b, c)
 
 
 def test_census_first_row_comes_before_the_rest_is_built(monkeypatch):

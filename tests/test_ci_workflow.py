@@ -36,14 +36,16 @@ RELEASE_CHECKS = {
     "cli_digests": "tests/make_cli_digests.py --check",
     "json_writer": "tests/ci/json_writer.py",
     "census_digests": "tests/ci/census_digests.py",
+    "census_genus100_json": "tests/ci/census_genus100.py json",
+    "census_genus100_csv": "tests/ci/census_genus100.py csv",
     "import_set": "tests/ci/import_set.py",
 }
 
 
 @pytest.mark.parametrize("script", list(RELEASE_CHECKS.values()), ids=list(RELEASE_CHECKS))
 def test_cli_surface_job_runs_the_check_under_every_release(script):
-    # tier-1 checks the CLI and census bytes, the JSON writer and the modules
-    # `import su12fiber.cli` loads under two releases; the cli-surface matrix
-    # runs each check under all five
+    # tier-1 checks the CLI and census bytes, the JSON writer, the genus-100
+    # census's peak memory and the modules `import su12fiber.cli` loads under
+    # two releases; the cli-surface matrix runs each check under all five
     job = WORKFLOW.read_text(encoding="utf-8").split("\n  cli-surface:\n", 1)[1]
     assert f"run: PYTHONPATH=src python {script}\n" in job
