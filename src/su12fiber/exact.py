@@ -156,6 +156,7 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._a and not self._b
 
+    # no package caller; without it every Scalar, zero included, reads true in an `if`
     def __bool__(self) -> bool:
         return not self.is_zero()
 

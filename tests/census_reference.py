@@ -5,10 +5,11 @@ a recurrence along each row: two `math.comb` per cell, one `classify_counts`
 call per cell and a frozen dataclass per row.  `emission` reproduces what the
 `census` subcommand wrote from such rows: the whole payload through
 `json.dumps(indent=2, sort_keys=True)`, or the rows through `csv.writer`,
-plus the Milnor-Wood warning on stderr.  `GENERA` and `degrees` name the
-grid of (genus, degree) cases the differential tests cover, and `digest`
-is the fingerprint of one emission kept in census_digests.txt.  Nothing
-in the package imports this module.
+plus the Milnor-Wood warning on stderr.  `cells` expands the runs of the
+package's `census` into such rows, the per-cell view the tests read.
+`GENERA` and `degrees` name the grid of (genus, degree) cases the
+differential tests cover, and `digest` is the fingerprint of one emission
+kept in census_digests.txt.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ def census(p: ModuliParams) -> CensusResult:
             dim = p.g + d_r if cls is StabilityClass.STABLE else None
             rows.append(CensusRow(d_beta, d_gamma, d_r, cls, count, dim))
     return CensusResult(p, tuple(rows))
+
+
+def cells(result) -> tuple[CensusRow, ...]:
+    """Each run of the package's `stability.census(p)` expanded into its cells,
+    in order of (d_beta, d_gamma); a run whose fields differ in length raises."""
+    return tuple(
+        CensusRow(run.d_beta, d_gamma, d_r, run.stability, count, dim)
+        for run in result.runs
+        for d_gamma, d_r, count, dim in zip(
+            run.d_gamma, run.d_r, run.labeled_counts,
+            run.stratum_dims or [None] * len(run.d_gamma), strict=True,
+        )
+    )
 
 
 def emission(result: CensusResult, fmt: str) -> tuple[str, str]:

@@ -8,8 +8,6 @@ process per format, so that each reads the peak RSS of its own child alone:
     PYTHONPATH=src python tests/ci/census_genus100.py csv
 """
 
-import hashlib
-import pathlib
 import resource
 import subprocess
 import sys
@@ -23,6 +21,11 @@ def main() -> None:
     run = subprocess.run([sys.executable, "-m", "su12fiber", *argv],
                          capture_output=True, check=True)
     rss_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    # imported only once the child has exited: a forked child's peak RSS
+    # starts at its parent's, so a larger parent would hide a smaller child
+    import hashlib
+    import pathlib
+
     # a digest line is sha256 of stdout, a NUL byte and stderr
     digest = hashlib.sha256(run.stdout + b"\0" + run.stderr).hexdigest()
     lines = pathlib.Path("tests/census_digests.txt").read_text().splitlines()

@@ -28,6 +28,7 @@ from su12fiber.git_engine import (
 )
 from su12fiber.stability import ModuliParams, StabilityClass, census, classify_counts
 
+from census_reference import cells
 from paper_reference import (
     classify_partition,
     git_class_of_stability,
@@ -187,10 +188,10 @@ def test_criterion_3_census_counts():
     r1 = census(ModuliParams(2, 1))
     checks = {
         "g2d0 stable": r0.stable_total == 21,
-        "g2d0 strictly polystable": r0.class_total(StabilityClass.STRICTLY_POLYSTABLE) == 6,
-        "g2d0 total": sum(r.labeled_count for r in r0.rows) == 81,
+        "g2d0 strictly polystable": r0.class_totals()[StabilityClass.STRICTLY_POLYSTABLE] == 6,
+        "g2d0 total": sum(r.labeled_count for r in cells(r0)) == 81,
         "g2d1 stable": r1.stable_total == 0,
-        "g2d1 total": sum(r.labeled_count for r in r1.rows) == 81,
+        "g2d1 total": sum(r.labeled_count for r in cells(r1)) == 81,
     }
     bad = [k for k, v in checks.items() if not v]
     _report(

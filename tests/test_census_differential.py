@@ -6,8 +6,9 @@ once per run of constant class, with each count's decimal text made once
 per multiset of part sizes and shared by its cells; `cli` writes each JSON
 or CSV cell as one join over those texts.  `tests/census_reference.py`
 keeps the per-cell table and the `json.dumps`/`csv.writer` emission they
-replaced.  Every cell of every (genus, degree) in the grid is checked
-against a per-cell oracle written here: its position in (d_beta, d_gamma)
+replaced, and `cells`, which expands the runs `stability.census` holds.
+Every cell of every (genus, degree) in the grid is checked against a
+per-cell oracle written here: its position in (d_beta, d_gamma)
 order with d_r = N - d_beta - d_gamma, the multinomial from `math.comb`,
 the class from `classify_counts` and the stratum dimension g + d_r of
 stable cells.
@@ -34,6 +35,7 @@ import contextlib
 import errno
 import functools
 import io
+import json
 import math
 import os
 import subprocess
@@ -86,14 +88,14 @@ def binomials(N):
 def check_against_oracle(p, rows):
     N = p.N
     comb = binomials(N)
-    cells = [(b, c) for b in range(N + 1) for c in range(N + 1 - b)]
-    assert len(rows) == len(cells)
-    for (b, c), row in zip(cells, rows):
-        d_beta, d_gamma, d_r, cls, count, dim = row
-        assert (d_beta, d_gamma, d_r) == (b, c, N - b - c)
-        assert count == comb[N][b] * comb[N - b][c], row
-        assert cls is classify_counts(p, b, c), row
-        assert dim == (p.g + d_r if cls is StabilityClass.STABLE else None), row
+    positions = [(b, c) for b in range(N + 1) for c in range(N + 1 - b)]
+    assert len(rows) == len(positions)
+    for (b, c), row in zip(positions, rows):
+        assert (row.d_beta, row.d_gamma, row.d_r) == (b, c, N - b - c)
+        assert row.labeled_count == comb[N][b] * comb[N - b][c], row
+        assert row.stability is classify_counts(p, b, c), row
+        stable = row.stability is StabilityClass.STABLE
+        assert row.stratum_dim == (p.g + row.d_r if stable else None), row
 
 
 def run_census(g, d, fmt, *extra):
@@ -108,13 +110,10 @@ def test_census_rows_match_reference_and_oracle(tables):
     g, by_degree = tables
     for d, expected in by_degree.items():
         p = ModuliParams(g, d)
-        rows = census(p).rows
+        rows = reference.cells(census(p))
         check_against_oracle(p, rows)
         if expected is not None:
-            assert [tuple(r) for r in rows] == [
-                (r.d_beta, r.d_gamma, r.d_r, r.stability, r.labeled_count, r.stratum_dim)
-                for r in expected.rows
-            ], (g, d)
+            assert rows == expected.rows, (g, d)
 
 
 def test_census_cli_is_byte_identical_to_reference(tables):
@@ -129,6 +128,20 @@ def test_census_cli_is_byte_identical_to_reference(tables):
                 live = reference.emission(expected, fmt)
                 assert (out, err) == live, (g, d, fmt)
                 assert reference.digest(*live) == recorded, (g, d, fmt)
+
+
+def test_census_result_holds_the_runs_and_totals_the_cli_writes():
+    # the library and the CLI sum the class totals each on its own
+    for g in range(2, 9):
+        for d in range(-g - 1, g + 2):
+            p = ModuliParams(g, d)
+            result = census(p)
+            assert result.runs == tuple(census_runs(p)), (g, d)
+            totals = {cls.value: count for cls, count in result.class_totals().items()}
+            assert sum(totals.values()) == 3**p.N, (g, d)
+            code, out, _ = run_census(g, d, "json")
+            assert code == 0
+            assert json.loads(out)["totals"] == {**totals, "all": 3**p.N}, (g, d)
 
 
 @pytest.mark.parametrize("g, d", [(2, 0), (2, 1), (3, -4), (30, 29), (100, 0)])
@@ -178,7 +191,7 @@ CENSUS_PEAK_BOUND = 4 * 2**20
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_census_cli_memory_is_bounded_by_a_row(fmt):
+def test_census_cli_memory_is_bounded_by_the_kept_texts(fmt):
     argv = ["census", "--genus", "100", "--format", fmt]
     err = io.StringIO()
     tracemalloc.start()

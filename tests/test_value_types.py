@@ -29,7 +29,7 @@ VALUE_TYPES = {
     "LocalHiggs": (lambda: higgs_from_kernel_frame(hecke_frame(FiberPoint.zero(), 3)),
                    ("beta", "gamma")),
     "ModuliParams": (lambda: ModuliParams(2, 0), ("g", "d")),
-    "CensusResult": (lambda: census(ModuliParams(2, 0)), ("params", "rows")),
+    "CensusResult": (lambda: census(ModuliParams(2, 0)), ("params", "runs")),
 }
 
 
